@@ -182,10 +182,14 @@ pub struct FaultPlan {
     /// Maximum clock jump, µs.
     pub clock_jump_max_us: u64,
     /// Probability one archived segment replica suffers a byte flip, ppm
-    /// (keyed on `(seed, segment, replica)` — scrub must catch it).
+    /// (keyed on `(seed, segment, replica)` — scrub must catch it). Read
+    /// by callers of `ReplicaSet::inject_faults`, such as the
+    /// `charisma-verify chaos` gate; neither the simulation nor `Pipeline`
+    /// draws from it.
     pub archive_corrupt_ppm: u32,
     /// Probability one archived segment replica is lost with its I/O
-    /// node, ppm (reads fail over to a surviving replica).
+    /// node, ppm (reads fail over to a surviving replica). Read by callers
+    /// of `ReplicaSet::inject_faults`, like `archive_corrupt_ppm`.
     pub replica_loss_ppm: u32,
     /// Retry/backoff/timeout policy for faulted CFS requests.
     pub retry: RetryPolicy,

@@ -57,7 +57,7 @@ pub struct StoreMetrics {
     /// summed over scans).
     pub access_segments: Counter,
     /// The per-segment access ledger itself: scan counts, matched rows,
-    /// logical last-scan ticks, and reader-class masks, keyed by segment
+    /// and reader-class masks, keyed by segment
     /// index. Clones of one `StoreMetrics` share the ledger the way
     /// counter handles share registry slots; the tier policy reads it
     /// via [`AccessLedger::snapshot`].

@@ -83,7 +83,7 @@ proptest! {
     }
 
     /// Feeding the ledger the same scans in any order yields the same
-    /// demands, hence the same classification: every merge the ledger
+    /// ledger, hence the same classification: every merge the ledger
     /// does is commutative.
     #[test]
     fn ledger_scan_order_never_changes_assignments(
@@ -109,6 +109,7 @@ proptest! {
                 .collect();
             classify(&demands, 2, 4)
         };
+        prop_assert_eq!(forward.snapshot(), shuffled.snapshot());
         prop_assert_eq!(tiers(&forward), tiers(&shuffled));
     }
 

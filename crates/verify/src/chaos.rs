@@ -20,23 +20,24 @@
 //!    `crates/verify/fixtures/metrics_snapshot_chaos.json`, pinning the
 //!    exact number of injected faults, retries, timeouts, and degraded
 //!    serves at the gate's seed and scale.
-//! 5. **Archive-fault drill** — everything again under
-//!    [`archive_fault_plan`] (the chaos plan plus replica corruption and
-//!    loss, pinned as `fault_plan_archive.txt`): the faulted run must stay
-//!    repeatable and worker-count invariant while the pipeline's
-//!    self-healing drill fails over and scrubs, and
-//!    [`check_archive_chaos`] additionally proves byte-identical repair,
-//!    torn-tail recovery of the sealed prefix, and degraded-tenant
-//!    federation equal to the healthy one.
+//! 5. **Archive-fault drill** — [`check_archive_chaos`] runs the pipeline
+//!    under [`archive_fault_plan`] (the chaos plan plus replica corruption
+//!    and loss, pinned as `fault_plan_archive.txt`), checks the archive
+//!    stays repeatable and worker-count invariant, then places the sealed
+//!    container on a replica set, injects the plan's damage, and proves
+//!    failover, byte-identical scrub repair, torn-tail recovery of the
+//!    sealed prefix, and degraded-tenant federation equal to the healthy
+//!    one. The pipeline itself never draws the archive rates.
 //!
 //! Run the binary with `--features invariants` (CI does) and every
 //! `invariant!` assertion in the simulation crates is live while the
 //! faults fire.
 
+use charisma::obs::MetricsRegistry;
 use charisma::serve::{Service, ServiceConfig, Snapshot, TenantFeed};
-use charisma::store::{Archive, Query, ReplicaConfig, ReplicaSet, StoreError};
+use charisma::store::{Archive, Query, ReplicaConfig, ReplicaSet, StoreError, StoreMetrics};
 use charisma::{ArchiveSink, Pipeline};
-use charisma_ipsc::FaultPlan;
+use charisma_ipsc::{FaultMetrics, FaultPlan};
 
 use crate::determinism::{check_determinism, sharded_record_stream_with_faults, DeterminismReport};
 
@@ -140,19 +141,20 @@ pub fn diff_archive_plan(fixture: &FaultPlan) -> Option<String> {
     ))
 }
 
-/// The archive-fault gate: run the pipeline under [`archive_fault_plan`]
-/// (which makes `Pipeline::run` place, damage, fail over, and scrub a
-/// replica set over the run's archive) and hold the self-healing layer to
-/// its contracts:
+/// The archive-fault gate: run the pipeline under [`archive_fault_plan`],
+/// then drill a replica set over the run's archive at the plan's rates
+/// and hold the self-healing layer to its contracts:
 ///
 /// 1. **Repeatability** — two faulted runs publish identical archive
 ///    bytes and identical deterministic metric cores.
 /// 2. **Worker-count invariance** — the `shards`-worker faulted run
 ///    equals the serial one, bytes and core.
-/// 3. **Fault activity** — the archive fault counters and scrub counters
-///    are live: damage was injected and repaired, not skipped.
-/// 4. **Scrub restores canonical bytes** — an explicit replica drill at
-///    the plan's rates repairs every damaged copy byte-identically.
+/// 3. **Fault activity** — the drill's `faults.archive.*` and
+///    `store.scrub.*` counters are live: damage was injected and every
+///    damaged copy repaired, not skipped.
+/// 4. **Failover and scrub restore canonical bytes** — degraded reads
+///    already serve the canonical container, and after scrub the set
+///    reads clean with no failovers.
 /// 5. **Torn-tail recovery** — truncating the archive mid-final-segment
 ///    is classified `TornTail`, and recovery yields exactly the sealed
 ///    prefix of the merged stream.
@@ -178,9 +180,6 @@ pub fn check_archive_chaos(
             .run()
     };
 
-    // The drill inside `Pipeline::run` already fails the whole run if
-    // failover or scrub leaves anything diverging; reaching here means
-    // the healing loop closed.
     let out = run(shards)?;
     let bytes = out.archive.clone().unwrap_or_default();
     let core = out.metrics.to_core_json();
@@ -213,28 +212,20 @@ pub fn check_archive_chaos(
         }
     }
 
-    // 3. The archive fault machinery demonstrably engaged.
-    for key in [
-        "faults.archive.corrupt",
-        "faults.archive.replica_lost",
-        "store.scrub.segments_checked",
-        "store.scrub.repaired",
-    ] {
-        match counter_value(&core, key) {
-            None => complaints.push(format!("`{key}` missing from the faulted metrics core")),
-            Some(0) => complaints.push(format!(
-                "`{key}` is zero: the archive-fault plan must exercise it"
-            )),
-            Some(_) => {}
-        }
-    }
-
-    // 4. Scrub restores canonical bytes, explicitly and byte-checked.
+    // 3–4. Replica drill: place, damage at the plan's rates, fail over,
+    // scrub, and read back clean, counting into a registry of its own.
     let archive = Archive::from_bytes(bytes.clone())?;
+    let registry = MetricsRegistry::new();
     let mut set = ReplicaSet::place(archive.reader(), ReplicaConfig::default(), plan.seed);
+    set.attach_metrics(StoreMetrics::register(&registry));
     let injected = set.inject_faults(plan.archive_corrupt_ppm, plan.replica_loss_ppm);
-    if injected.corrupted + injected.lost == 0 {
-        complaints.push("the archive-fault plan injected no replica damage".to_owned());
+    let fm = FaultMetrics::register(&registry);
+    fm.archive_corrupt.add(injected.corrupted);
+    fm.replica_lost.add(injected.lost);
+    match set.failover_reader() {
+        Ok((degraded, _)) if degraded.to_bytes() == bytes => {}
+        Ok(_) => complaints.push("degraded replica read diverged from the canonical bytes".into()),
+        Err(e) => complaints.push(format!("damaged replica set failed to fail over: {e}")),
     }
     let report = set.scrub();
     if !report.healthy() {
@@ -243,13 +234,6 @@ pub fn check_archive_chaos(
             report.unrecoverable
         ));
     } else {
-        if report.repaired != injected.corrupted + injected.lost {
-            complaints.push(format!(
-                "scrub repaired {} copies but {} were damaged",
-                report.repaired,
-                injected.corrupted + injected.lost
-            ));
-        }
         match set.failover_reader() {
             Ok((healed, 0)) if healed.to_bytes() == bytes => {}
             Ok((_, failovers)) => complaints.push(format!(
@@ -257,6 +241,27 @@ pub fn check_archive_chaos(
             )),
             Err(e) => complaints.push(format!("healed replica set failed to read: {e}")),
         }
+    }
+    let drill = registry.snapshot();
+    let counter = |key: &str| drill.counters.get(key).copied().unwrap_or(0);
+    for key in [
+        "faults.archive.corrupt",
+        "faults.archive.replica_lost",
+        "store.scrub.segments_checked",
+        "store.scrub.repaired",
+    ] {
+        if counter(key) == 0 {
+            complaints.push(format!(
+                "`{key}` is zero: the archive-fault plan must exercise it"
+            ));
+        }
+    }
+    let damaged = counter("faults.archive.corrupt") + counter("faults.archive.replica_lost");
+    let repaired = counter("store.scrub.repaired");
+    if repaired != damaged {
+        complaints.push(format!(
+            "scrub repaired {repaired} copies but {damaged} were damaged"
+        ));
     }
 
     // 5. Torn-tail recovery: cut mid-final-segment, recover the prefix.

@@ -19,10 +19,11 @@
 //! `N` worker threads — twice for repeatability, and once against the
 //! serial (1-worker) run to prove worker count does not change the output.
 //!
-//! The metrics check diffs the run's deterministic metrics core against
-//! the checked-in fixture (and, with `--shards N`, proves the `N`-worker
-//! merged metrics equal the serial run's); `--write` regenerates the
-//! fixture instead.
+//! The metrics check diffs the deterministic metrics core of a pipeline
+//! run, plus a pinned tiering replay and serve exercise over its archive,
+//! against the checked-in fixture (and, with `--shards N`, proves the
+//! `N`-worker merged metrics equal the serial run's); `--write`
+//! regenerates the fixture instead.
 //!
 //! The chaos check replays the determinism and metrics gates under the
 //! canonical fault-injection plan: the plan fixture must match the
@@ -30,10 +31,11 @@
 //! invariant, the fault counters must show the chaos machinery engaged,
 //! and the chaos metrics core must match its own fixture. It then runs
 //! the archive-fault drill: the same repeatability and invariance checks
-//! under the archive-fault plan (replica corruption and loss switched
-//! on, pinned as its own fixture), plus byte-checked scrub repair,
-//! torn-tail recovery of the sealed prefix, and degraded-tenant
-//! federation equal to the healthy one.
+//! on a pipeline run under the archive-fault plan (pinned as its own
+//! fixture), then a replica set over that run's archive damaged at the
+//! plan's replica corruption and loss rates, with byte-checked failover
+//! and scrub repair, torn-tail recovery of the sealed prefix, and
+//! degraded-tenant federation equal to the healthy one.
 //!
 //! The serve check proves the multi-tenant archive service keeps those
 //! promises live: per-tenant catalog bytes identical across every ingest
@@ -81,15 +83,16 @@ fn usage() -> ExitCode {
                         prove two same-seed pipeline runs agree; with --shards,\n\
                         run sharded on N workers and also diff against serial\n\
            metrics      [--seed N] [--scale F] [--shards N] [--fixture PATH] [--write]\n\
-                        diff the deterministic metrics core against the fixture;\n\
-                        with --shards, also prove N-worker metrics merge to the\n\
+                        diff the deterministic metrics core (pipeline run plus\n\
+                        a pinned tiering replay and serve exercise) against the\n\
+                        fixture; with --shards, also prove N-worker metrics merge to the\n\
                         serial values; --write regenerates the fixture\n\
            chaos        [--seed N] [--scale F] [--shards N] [--fixture PATH]\n\
                         [--plan PATH] [--write]\n\
                         rerun the determinism and metrics gates under the\n\
-                        canonical fault-injection plan, then drill the\n\
-                        self-healing archive layer under the archive-fault\n\
-                        plan (failover, scrub repair, torn-tail recovery,\n\
+                        canonical fault-injection plan, then drill a replica\n\
+                        set over the run's archive at the archive-fault plan's\n\
+                        rates (failover, scrub repair, torn-tail recovery,\n\
                         degraded federation); --write regenerates the plan\n\
                         and chaos-metrics fixtures\n\
            archive      [--seed N] [--scale F] [--workers N] [--fixture PATH]\n\
@@ -568,9 +571,10 @@ fn run_chaos(args: &[String]) -> ExitCode {
     }
     println!("fault counters show the chaos machinery engaged");
 
-    // 5. The archive-fault drill: the whole gate again under the archive
-    // plan, plus byte-checked scrub repair, torn-tail recovery, and
-    // degraded federation.
+    // 5. The archive-fault drill: repeatability and invariance under the
+    // archive plan, then a replica drill at its rates with byte-checked
+    // failover and scrub repair, torn-tail recovery, and degraded
+    // federation.
     println!("running the archive-fault drill on {shards} worker(s)...");
     match check_archive_chaos(seed, scale, shards) {
         Ok(complaints) if complaints.is_empty() => {

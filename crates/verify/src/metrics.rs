@@ -23,8 +23,23 @@
 
 use charisma::obs::MetricsRegistry;
 use charisma::serve::{ServeMetrics, Service, ServiceConfig, TenantFeed};
-use charisma::store::Query;
+use charisma::store::{Archive, Query, StoreMetrics};
+use charisma::tier::{Tier, TierMetrics, TierPlan, TieredSet};
 use charisma::Pipeline;
+
+use crate::tier::{ledger_for, ScanWindow};
+
+/// The skewed scan schedule whose `store.access.*` and `tier.*` counters
+/// the fixture pins: the first tenth of the trace scanned four times by
+/// every reader class, then the first half once by nodes {1, 2, 3}; the
+/// tail never.
+const METRICS_SCHEDULE: &[ScanWindow] = &[
+    (0, 100_000, None),
+    (0, 100_000, None),
+    (0, 100_000, None),
+    (0, 100_000, None),
+    (0, 500_000, Some(&[1, 2, 3])),
+];
 
 /// One line-level disagreement between fixture and observed core JSON.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -61,29 +76,48 @@ impl std::fmt::Display for JsonDiff {
 /// counters) are part of the pinned namespace — an encoding change that
 /// moves `store.bytes_written` fails this gate, not just the archive one.
 ///
-/// The run also attaches the default [`TierPlan`], so the tiering
-/// drill's `tier.*` counters and the scan-fed `store.access.*` ledger
-/// counters are pinned alongside — the drill replays a fixed scan
-/// schedule over the sealed container, so its counts are as much a pure
-/// function of `(seed, scale)` as the rest of the core.
+/// The sealed container is then tiered: `METRICS_SCHEDULE` is
+/// replayed over it to build the access ledger, the default [`TierPlan`]
+/// classifies and places its segments, and one cold segment's single
+/// copy is lost, read back through parity, and healed. That pins the
+/// `tier.*` counters and the scan-fed `store.access.*` ledger counters
+/// alongside — a fixed schedule over fixed bytes, so its counts are as
+/// much a pure function of `(seed, scale)` as the rest of the core.
 ///
 /// The merged stream is then pushed through a small `charisma-serve`
 /// exercise (two tenants, one federated scan) so the `serve.*` counters
 /// are pinned too. Serve counters are per-tenant deterministic sums, so
 /// the exercise — like everything else in the core — is a pure function
 /// of `(seed, scale)` and independent of `workers`.
-///
-/// [`TierPlan`]: charisma::tier::TierPlan
 pub fn core_metrics_json(seed: u64, scale: f64, workers: usize) -> Result<String, charisma::Error> {
     let out = Pipeline::new()
         .seed(seed)
         .scale(scale)
         .shards(workers)
         .sink(charisma::ArchiveSink::Memory)
-        .tier(charisma::tier::TierPlan::default())
         .run()?;
 
     let registry = MetricsRegistry::new();
+    let archive = Archive::from_bytes(out.archive.clone().unwrap_or_default())?;
+    let ledger = ledger_for(
+        &archive,
+        METRICS_SCHEDULE,
+        1,
+        false,
+        &StoreMetrics::register(&registry),
+    )?;
+    let mut tiered = TieredSet::build_with_metrics(
+        archive.reader(),
+        &ledger,
+        &TierPlan::default(),
+        TierMetrics::register(&registry),
+    );
+    if let Some(cold) = tiered.assignments().iter().position(|&t| t == Tier::Cold) {
+        tiered.replica_set_mut().lose_replica(cold, 0);
+    }
+    tiered.degraded_reader()?;
+    tiered.heal();
+
     let mut service = Service::new(ServiceConfig {
         seed,
         scale,

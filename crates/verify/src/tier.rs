@@ -10,8 +10,8 @@
 //!    scan workers must produce identical ledgers, hence identical tier
 //!    assignments, replica placements, and parity layouts.
 //! 2. **Scan-order invariance** — the schedule replayed in reverse must
-//!    classify identically: every ledger merge is commutative, so the
-//!    order scans commit in is an execution detail.
+//!    build the same ledger and classify identically: every ledger merge
+//!    is commutative, so the order scans commit in is an execution detail.
 //! 3. **Parity exactness** — for *every* cold segment, dropping its
 //!    single live copy must read back byte-identically through XOR
 //!    parity, and the healed set must scrub clean.
@@ -23,7 +23,6 @@
 use std::collections::BTreeMap;
 
 use charisma::ipsc::SimTime;
-use charisma::obs::MetricsRegistry;
 use charisma::serve::{Service, ServiceConfig, Snapshot, TenantFeed};
 use charisma::store::{Archive, Query, SegmentAccess, StoreMetrics};
 use charisma::tier::{Tier, TierPlan, TieredSet};
@@ -35,12 +34,14 @@ use crate::determinism::fnv1a_hash;
 /// Scan worker counts the invariance matrix covers.
 const GATE_WORKERS: &[usize] = &[1, 2, 4];
 
-/// The pinned skewed scan schedule, as `(from_ppm, to_ppm, nodes)`
-/// windows over the archive's own time span: the head of the trace is
-/// scanned repeatedly by every reader class, the first half by narrow
-/// node sets, the tail never — the paper's access skew, replayed as
-/// queries.
-const GATE_SCHEDULE: &[(u64, u64, Option<&[u16]>)] = &[
+/// One scheduled scan: a `(from_ppm, to_ppm, nodes)` window over the
+/// archive's own time span, optionally restricted to a node set.
+pub(crate) type ScanWindow = (u64, u64, Option<&'static [u16]>);
+
+/// The pinned skewed scan schedule: the head of the trace is scanned
+/// repeatedly by every reader class, the first half by narrow node sets,
+/// the tail never — the paper's access skew, replayed as queries.
+const GATE_SCHEDULE: &[ScanWindow] = &[
     (0, 120_000, None),
     (0, 120_000, None),
     (0, 120_000, None),
@@ -71,26 +72,27 @@ pub struct TierGateReport {
     pub report_hash: u64,
 }
 
-/// Replay the pinned schedule against `archive` with `workers` scan
-/// threads (optionally in reverse order) and return the ledger snapshot.
-fn ledger_for(
+/// Replay `schedule` against `archive` with `workers` scan threads
+/// (optionally in reverse order), feeding `metrics`, and return the
+/// ledger snapshot. Pass a fresh `metrics` per replay: clones share one
+/// ledger.
+pub(crate) fn ledger_for(
     archive: &Archive,
+    schedule: &[ScanWindow],
     workers: usize,
     reversed: bool,
+    metrics: &StoreMetrics,
 ) -> Result<BTreeMap<u64, SegmentAccess>, charisma::Error> {
-    let registry = MetricsRegistry::new();
-    let metrics = StoreMetrics::register(&registry);
     let Some((start, end)) = archive.time_span() else {
         return Ok(BTreeMap::new());
     };
     let span = end.as_micros().saturating_sub(start.as_micros()).max(1);
     let at = |ppm: u64| SimTime::from_micros(start.as_micros() + span * ppm / 1_000_000);
-    let mut order: Vec<usize> = (0..GATE_SCHEDULE.len()).collect();
+    let mut order: Vec<&ScanWindow> = schedule.iter().collect();
     if reversed {
         order.reverse();
     }
-    for &i in &order {
-        let (from, to, nodes) = GATE_SCHEDULE[i];
+    for &(from, to, nodes) in order {
         let mut query = Query::all().time_window(at(from), at(to));
         if let Some(nodes) = nodes {
             query = query.nodes(nodes);
@@ -102,6 +104,21 @@ fn ledger_for(
             .events()?;
     }
     Ok(metrics.access.snapshot())
+}
+
+/// [`ledger_for`] over [`GATE_SCHEDULE`], on a fresh ledger.
+fn gate_ledger(
+    archive: &Archive,
+    workers: usize,
+    reversed: bool,
+) -> Result<BTreeMap<u64, SegmentAccess>, charisma::Error> {
+    ledger_for(
+        archive,
+        GATE_SCHEDULE,
+        workers,
+        reversed,
+        &StoreMetrics::default(),
+    )
 }
 
 /// Per-segment replica placements — the layout fingerprint the
@@ -138,12 +155,12 @@ pub fn check_tier_gate(seed: u64, scale: f64) -> Result<TierGateReport, charisma
 
     // 1. Worker invariance: same schedule, 1/2/4 scan workers — same
     // ledger, same assignments, same placements, same parity layout.
-    let baseline_ledger = ledger_for(&archive, 1, false)?;
+    let baseline_ledger = gate_ledger(&archive, 1, false)?;
     let baseline = TieredSet::build(archive.reader(), &baseline_ledger, &plan);
     let base_encoding = baseline.report().encode();
     let base_placements = placements(&baseline);
     for &workers in &GATE_WORKERS[1..] {
-        let ledger = ledger_for(&archive, workers, false)?;
+        let ledger = gate_ledger(&archive, workers, false)?;
         if ledger != baseline_ledger {
             complaints.push(format!(
                 "access ledger under {workers} scan workers differs from the serial ledger"
@@ -162,10 +179,15 @@ pub fn check_tier_gate(seed: u64, scale: f64) -> Result<TierGateReport, charisma
         }
     }
 
-    // 2. Scan-order invariance: the reversed schedule must classify and
-    // place identically (the ledger's scan ticks may differ — they are
-    // the one order-dependent field — but the policy never reads them).
-    let reversed = TieredSet::build(archive.reader(), &ledger_for(&archive, 2, true)?, &plan);
+    // 2. Scan-order invariance: the reversed schedule must build the same
+    // ledger, hence classify and place identically.
+    let reversed_ledger = gate_ledger(&archive, 2, true)?;
+    if reversed_ledger != baseline_ledger {
+        complaints.push(
+            "access ledger from the reversed scan schedule differs from the forward one".into(),
+        );
+    }
+    let reversed = TieredSet::build(archive.reader(), &reversed_ledger, &plan);
     if reversed.report().encode() != base_encoding {
         complaints.push(
             "tier report from the reversed scan schedule differs from the forward one".into(),
@@ -234,7 +256,7 @@ pub fn check_tier_gate(seed: u64, scale: f64) -> Result<TierGateReport, charisma
     let probe_tenant = tenants - 1;
     let tenant_bytes = service.snapshot(probe_tenant)?.to_bytes();
     let tenant_archive = Archive::from_bytes(tenant_bytes.clone())?;
-    let tenant_ledger = ledger_for(&tenant_archive, 2, false)?;
+    let tenant_ledger = gate_ledger(&tenant_archive, 2, false)?;
     let mut tiered = TieredSet::build(tenant_archive.reader(), &tenant_ledger, &plan);
     let assignments = tiered.assignments().to_vec();
     if let Some(hot) = assignments.iter().position(|&t| t == Tier::Hot) {
@@ -291,7 +313,9 @@ mod tests {
         );
         assert!(report.segments > 0);
         assert_eq!(report.hot + report.warm + report.cold, report.segments);
+        assert!(report.hot > 0, "the pinned schedule promotes the head");
         assert!(report.cold > 0, "the pinned schedule leaves a cold tail");
+        assert!(report.parity_groups > 0);
         assert_eq!(report.cold_losses_rebuilt, report.cold);
     }
 }

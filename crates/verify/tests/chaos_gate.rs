@@ -8,7 +8,9 @@
 
 use charisma_ipsc::FaultPlan;
 use charisma_verify::determinism::{check_determinism, sharded_record_stream_with_faults};
-use charisma_verify::{chaos_metrics_json, check_fault_activity, diff_json, diff_plan};
+use charisma_verify::{
+    chaos_metrics_json, check_archive_chaos, check_fault_activity, diff_json, diff_plan,
+};
 
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -59,4 +61,13 @@ fn empty_plan_is_byte_identical_to_no_plan() {
         "empty plan changed the stream at record {:?}",
         report.divergence.map(|d| d.index)
     );
+}
+
+#[test]
+fn archive_faults_heal_in_the_replica_drill() {
+    // Injection, failover, scrub repair (every damaged copy, counted from
+    // the drill's own registry), torn-tail recovery and degraded
+    // federation, at a scale small enough for the default suite.
+    let complaints = check_archive_chaos(4994, 0.02, 2).expect("pipeline runs");
+    assert!(complaints.is_empty(), "archive drill: {complaints:?}");
 }
