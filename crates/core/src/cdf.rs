@@ -6,12 +6,21 @@
 //! count-weighted curves (Figure 4's "fraction of reads") and
 //! byte-weighted curves (Figure 4's "fraction of data").
 
+use std::collections::BTreeMap;
+
 /// A weighted empirical CDF over `u64` sample values.
+///
+/// Samples accumulate by value — one entry per distinct value, holding
+/// its summed weight — so memory is O(distinct values), not O(samples).
+/// [`Cdf::seal`] then turns the per-value sums into cumulative weights in
+/// place. Weights that are integers below 2^53 (counts, byte sizes) sum
+/// exactly in `f64`, so the sealed curve does not depend on insertion
+/// order.
 #[derive(Clone, Debug, Default)]
 pub struct Cdf {
-    /// `(value, cumulative_weight)` pairs, ascending by value, after
-    /// [`Cdf::seal`].
-    points: Vec<(u64, f64)>,
+    /// Value → summed weight while accumulating; value → cumulative
+    /// weight after [`Cdf::seal`].
+    points: BTreeMap<u64, f64>,
     total: f64,
     sealed: bool,
 }
@@ -31,30 +40,20 @@ impl Cdf {
     pub fn add_weighted(&mut self, value: u64, weight: f64) {
         assert!(!self.sealed, "CDF already sealed");
         assert!(weight >= 0.0, "negative weight");
-        self.points.push((value, weight));
+        *self.points.entry(value).or_insert(0.0) += weight;
         self.total += weight;
     }
 
-    /// Sort and cumulate. Must be called before queries.
+    /// Cumulate the per-value weights. Must be called before queries.
     pub fn seal(&mut self) {
         if self.sealed {
             return;
         }
-        self.points.sort_unstable_by_key(|&(v, _)| v);
-        // Collapse duplicates, then cumulate.
-        let mut out: Vec<(u64, f64)> = Vec::with_capacity(self.points.len());
-        for &(v, w) in &self.points {
-            match out.last_mut() {
-                Some((lv, lw)) if *lv == v => *lw += w,
-                _ => out.push((v, w)),
-            }
-        }
         let mut acc = 0.0;
-        for p in &mut out {
-            acc += p.1;
-            p.1 = acc;
+        for w in self.points.values_mut() {
+            acc += *w;
+            *w = acc;
         }
-        self.points = out;
         self.sealed = true;
     }
 
@@ -63,7 +62,7 @@ impl Cdf {
         self.total
     }
 
-    /// Number of distinct sample values (after sealing).
+    /// Number of distinct sample values.
     pub fn distinct(&self) -> usize {
         self.points.len()
     }
@@ -74,11 +73,10 @@ impl Cdf {
         if self.total == 0.0 {
             return 0.0;
         }
-        match self.points.binary_search_by_key(&x, |&(v, _)| v) {
-            Ok(i) => self.points[i].1 / self.total,
-            Err(0) => 0.0,
-            Err(i) => self.points[i - 1].1 / self.total,
-        }
+        self.points
+            .range(..=x)
+            .next_back()
+            .map_or(0.0, |(_, &acc)| acc / self.total)
     }
 
     /// Smallest value v with CDF(v) ≥ `q` (0 < q ≤ 1).
@@ -90,15 +88,15 @@ impl Cdf {
         let target = q * self.total;
         self.points
             .iter()
-            .find(|&&(_, acc)| acc + 1e-9 >= target)
-            .map(|&(v, _)| v)
+            .find(|&(_, &acc)| acc + 1e-9 >= target)
+            .map(|(&v, _)| v)
     }
 
     /// The curve as `(value, cumulative_fraction)` points for plotting.
     pub fn curve(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
         assert!(self.sealed, "seal() before querying");
         let total = self.total.max(f64::MIN_POSITIVE);
-        self.points.iter().map(move |&(v, acc)| (v, acc / total))
+        self.points.iter().map(move |(&v, &acc)| (v, acc / total))
     }
 
     /// Sample the curve at logarithmically spaced probe values — the shape
@@ -125,7 +123,7 @@ impl Cdf {
         }
         let mut prev = 0.0;
         let mut sum = 0.0;
-        for &(v, acc) in &self.points {
+        for (&v, &acc) in &self.points {
             sum += v as f64 * (acc - prev);
             prev = acc;
         }
@@ -206,6 +204,20 @@ mod tests {
         assert!(s.len() > 12);
         assert_eq!(s.first().unwrap().1, 0.0);
         assert_eq!(s.last().unwrap().1, 1.0);
+    }
+
+    #[test]
+    fn memory_follows_distinct_values_not_samples() {
+        let mut c = Cdf::new();
+        for i in 0..1_000_000u64 {
+            c.add_weighted([512, 4096, 65_536][(i % 3) as usize], 1.0);
+        }
+        assert_eq!(c.distinct(), 3, "accumulation keeps one entry per value");
+        c.seal();
+        assert_eq!(c.distinct(), 3);
+        assert_eq!(c.total(), 1_000_000.0);
+        assert!((c.fraction_le(512) - 333_334.0 / 1e6).abs() < 1e-12);
+        assert_eq!(c.fraction_le(65_536), 1.0);
     }
 
     #[test]

@@ -138,6 +138,75 @@ proptest! {
         }
     }
 
+    /// The by-value accumulation seals to exactly the curve a reference
+    /// sort-and-collapse over the raw samples gives, for integer weights
+    /// in any insertion order.
+    #[test]
+    fn cdf_by_value_matches_sort_and_collapse(
+        samples in proptest::collection::vec((0u64..64, 0u32..100_000), 0..400),
+        probe in 0u64..70,
+    ) {
+        let mut cdf = Cdf::new();
+        for &(v, w) in &samples {
+            cdf.add_weighted(v, f64::from(w));
+        }
+        cdf.seal();
+
+        let mut sorted = samples.clone();
+        sorted.sort_by_key(|&(v, _)| v);
+        let mut reference: Vec<(u64, f64)> = Vec::new();
+        for &(v, w) in &sorted {
+            match reference.last_mut() {
+                Some((lv, lw)) if *lv == v => *lw += f64::from(w),
+                _ => reference.push((v, f64::from(w))),
+            }
+        }
+        let mut acc = 0.0;
+        for p in &mut reference {
+            acc += p.1;
+            p.1 = acc;
+        }
+        let total: f64 = samples.iter().map(|&(_, w)| f64::from(w)).sum();
+
+        prop_assert_eq!(cdf.total(), total);
+        prop_assert_eq!(cdf.distinct(), reference.len());
+        let scale = total.max(f64::MIN_POSITIVE);
+        let want_curve: Vec<(u64, f64)> = reference.iter().map(|&(v, a)| (v, a / scale)).collect();
+        prop_assert_eq!(cdf.curve().collect::<Vec<_>>(), want_curve);
+        let want_le = if total == 0.0 {
+            0.0
+        } else {
+            reference
+                .iter()
+                .rev()
+                .find(|&&(v, _)| v <= probe)
+                .map_or(0.0, |&(_, a)| a / total)
+        };
+        prop_assert_eq!(cdf.fraction_le(probe), want_le);
+        for q in [0.1, 0.5, 0.9, 1.0] {
+            let want_q = if total == 0.0 {
+                None
+            } else {
+                reference
+                    .iter()
+                    .find(|&&(_, a)| a + 1e-9 >= q * total)
+                    .map(|&(v, _)| v)
+            };
+            prop_assert_eq!(cdf.quantile(q), want_q);
+        }
+        let want_mean = if total == 0.0 {
+            0.0
+        } else {
+            let (mut prev, mut sum) = (0.0, 0.0);
+            for &(v, a) in &reference {
+                sum += v as f64 * (a - prev);
+                prev = a;
+            }
+            sum / total
+        };
+        prop_assert_eq!(cdf.mean(), want_mean);
+    }
+
     /// Sharing percentages are well-defined: bounded to [0, 100], present
     /// exactly when two nodes accessed the file, and any byte sharing
     /// implies some block sharing.

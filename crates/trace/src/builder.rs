@@ -142,12 +142,17 @@ impl TraceBuilder {
         let send_local = self.node_clocks[node].local_time(true_time);
         let recv_true = true_time + self.flush_latency[node];
         let recv_service = self.service_clock.local_time(recv_true);
+        // Copy the records out at their exact length: the block is stored
+        // for the trace's lifetime, so it must not keep the buffer's
+        // growth slack, while the buffer keeps its capacity for the next
+        // block.
         self.blocks.push(Block {
             node: node as u16,
             send_local,
             recv_service,
-            events: std::mem::take(&mut buf.events),
+            events: buf.events.to_vec(),
         });
+        buf.events.clear();
         buf.used_bytes = 0;
         self.messages_sent += 1;
         self.messages_saved = self.messages_saved.saturating_sub(1);
@@ -231,6 +236,19 @@ mod tests {
         b.log(0, SimTime::from_micros(999), read_event(0, 0));
         assert_eq!(b.blocks.len(), 1, "overflow record forces a flush");
         assert_eq!(b.blocks[0].events.len(), capacity as usize);
+    }
+
+    #[test]
+    fn stored_blocks_carry_no_growth_slack() {
+        let mut b = builder(2);
+        for i in 0..2000u64 {
+            b.log((i % 2) as usize, SimTime::from_micros(i), read_event(0, i));
+        }
+        let t = b.finish(SimTime::from_secs(1));
+        assert!(t.blocks.len() > 4);
+        for block in &t.blocks {
+            assert_eq!(block.events.capacity(), block.events.len());
+        }
     }
 
     #[test]

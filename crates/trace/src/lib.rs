@@ -28,7 +28,7 @@ pub mod record;
 pub use builder::{Block, Trace, TraceBuilder};
 pub use codec::{decode_events_tolerant, DecodeStats};
 pub use file::{read_trace, read_trace_tolerant, write_trace, TolerantTrace, TraceFileError};
-pub use merge::{merge_shards, MergeMetrics, MergedEvents};
+pub use merge::{merge_shards, rectify_for_merge, MergeMetrics, MergedEvents};
 pub use postprocess::{postprocess, OrderedEvent};
 pub use record::{
     AccessKind, Event, EventBody, FileId, JobId, SessionId, TraceHeader, SERVICE_NODE,

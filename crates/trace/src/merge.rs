@@ -18,7 +18,8 @@ use std::collections::BinaryHeap;
 
 use charisma_obs::{Counter, MetricsRegistry};
 
-use crate::postprocess::OrderedEvent;
+use crate::builder::Trace;
+use crate::postprocess::{rectify, OrderedEvent};
 
 /// Metric handles a [`MergedEvents`] reports through once attached with
 /// [`MergedEvents::attach_metrics`].
@@ -52,11 +53,33 @@ pub fn merge_key(e: &OrderedEvent, shard: usize, seq: usize) -> MergeKey {
     (e.time.as_micros(), e.node, shard, seq)
 }
 
+/// Put one shard stream into merge order: stable by `(time, node)`, so
+/// the shard's residual order is the final tiebreak. A stream already in
+/// that order is left as it is, without the stable sort's scratch buffer.
+fn sort_for_merge(stream: &mut [OrderedEvent]) {
+    if !stream.is_sorted_by_key(|e| (e.time, e.node)) {
+        stream.sort_by_key(|e| (e.time, e.node));
+    }
+}
+
+/// Rectify a shard's trace straight into merge order.
+///
+/// Equal to [`crate::postprocess()`] followed by the merge's stable
+/// `(time, node)` sort, in one sort: a stable sort by `(time, node)`
+/// keeps equal keys in arrival order, just as sorting by time first
+/// would.
+pub fn rectify_for_merge(trace: &Trace) -> Vec<OrderedEvent> {
+    let mut stream = rectify(trace);
+    sort_for_merge(&mut stream);
+    stream
+}
+
 /// A streaming k-way merge over per-shard event streams.
 ///
 /// Yields every event of every shard exactly once, globally ordered by
-/// [`merge_key`]. Construction sorts each shard stream by `(time, node)`
-/// (stable, so the `seq` tiebreak preserves each shard's residual order);
+/// [`merge_key`]. Construction stable-sorts each shard stream by
+/// `(time, node)` unless it is already in that order, as streams from
+/// [`rectify_for_merge`] are;
 /// after that the merge itself is O(total log shards) and streams — the
 /// analyzer can consume it without materializing the merged vector.
 pub struct MergedEvents {
@@ -76,9 +99,8 @@ impl MergedEvents {
     pub fn new(mut shards: Vec<Vec<OrderedEvent>>) -> Self {
         for stream in &mut shards {
             // `postprocess` sorts by time alone; the merge key also orders
-            // by node within a timestamp, so re-sort (stable: the shard's
-            // own residual order is the final tiebreak via `seq`).
-            stream.sort_by_key(|e| (e.time, e.node));
+            // by node within a timestamp.
+            sort_for_merge(stream);
         }
         let remaining = shards.iter().map(Vec::len).sum();
         let cursor = vec![0; shards.len()];
@@ -251,6 +273,57 @@ mod tests {
         assert_eq!(snap.counters["merge.records_merged"], 3);
         // 3 pops + 1 refill push (shard 0 has a successor after its head).
         assert_eq!(snap.counters["merge.heap_ops"], 4);
+    }
+
+    #[test]
+    fn rectify_for_merge_is_postprocess_then_merge_sort() {
+        use crate::builder::TraceBuilder;
+        use crate::record::TraceHeader;
+        use charisma_ipsc::{DriftClock, Duration};
+
+        let header = TraceHeader {
+            version: TraceHeader::VERSION,
+            compute_nodes: 3,
+            io_nodes: 1,
+            block_bytes: 4096,
+            seed: 1,
+        };
+        let mut b = TraceBuilder::new(
+            header,
+            vec![DriftClock::PERFECT; 3],
+            DriftClock::PERFECT,
+            vec![Duration::from_micros(100); 3],
+        );
+        // Nodes log in descending order at shared timestamps, so ties on
+        // time exist and the node key reorders them.
+        for i in 0..900u64 {
+            b.log(
+                2 - (i % 3) as usize,
+                SimTime::from_micros(i / 3),
+                ev(0, 0, i as u32).body,
+            );
+        }
+        let trace = b.finish(SimTime::from_secs(1));
+        let mut want = crate::postprocess(&trace);
+        assert!(!want.is_sorted_by_key(|e| (e.time, e.node)));
+        want.sort_by_key(|e| (e.time, e.node));
+        let got = rectify_for_merge(&trace);
+        assert_eq!(got, want);
+        assert_eq!(
+            merge_shards(vec![got]),
+            merge_shards(vec![crate::postprocess(&trace)])
+        );
+    }
+
+    #[test]
+    fn sort_for_merge_orders_by_time_then_node_stably() {
+        let mut s = vec![ev(2, 1, 0), ev(1, 3, 1), ev(1, 0, 2), ev(1, 3, 3)];
+        sort_for_merge(&mut s);
+        let ids: Vec<u32> = s.iter().map(session).collect();
+        assert_eq!(ids, vec![2, 1, 3, 0]);
+        let before = s.clone();
+        sort_for_merge(&mut s);
+        assert_eq!(s, before, "sorted input is left as it is");
     }
 
     #[test]

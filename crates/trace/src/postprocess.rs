@@ -106,6 +106,16 @@ pub fn fit_all_clocks(trace: &Trace) -> Vec<ClockFit> {
 /// The sort is stable with per-node record order preserved (a node's own
 /// records are genuinely ordered; only cross-node order is estimated).
 pub fn postprocess(trace: &Trace) -> Vec<OrderedEvent> {
+    let mut out = rectify(trace);
+    // Stable sort keeps per-node order for equal timestamps; blocks of one
+    // node were already appended in generation order.
+    out.sort_by_key(|e| e.time);
+    out
+}
+
+/// Map every record of `trace` into the collector frame, in collector
+/// arrival order (unsorted).
+pub(crate) fn rectify(trace: &Trace) -> Vec<OrderedEvent> {
     let fits = fit_all_clocks(trace);
     let mut out = Vec::with_capacity(trace.event_count());
     for block in &trace.blocks {
@@ -122,9 +132,6 @@ pub fn postprocess(trace: &Trace) -> Vec<OrderedEvent> {
             });
         }
     }
-    // Stable sort keeps per-node order for equal timestamps; blocks of one
-    // node were already appended in generation order.
-    out.sort_by_key(|e| e.time);
     out
 }
 

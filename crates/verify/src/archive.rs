@@ -79,6 +79,7 @@ pub fn check_archive_gate(
         .seed(seed)
         .scale(scale)
         .sink(charisma::ArchiveSink::Memory)
+        .collect_events()
         .run()?;
     let bytes = out
         .archive

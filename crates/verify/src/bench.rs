@@ -225,7 +225,7 @@ pub fn run_bench(seed: u64, scale: f64, workers: usize) -> Result<BenchRecord, S
         .map_err(|e| format!("pipeline error: {e}"))?;
     let gen_secs = gen_start.elapsed().as_secs_f64().max(1e-9);
 
-    let records = out.events.len() as u64;
+    let records = out.workload.event_count() as u64;
     let bytes = out
         .archive
         .ok_or_else(|| "pipeline produced no archive".to_string())?;
@@ -255,7 +255,7 @@ pub fn run_bench(seed: u64, scale: f64, workers: usize) -> Result<BenchRecord, S
         ..ServiceConfig::default()
     });
     let mut streams = vec![Vec::new(); BENCH_TENANTS];
-    for (i, e) in out.events.iter().enumerate() {
+    for (i, e) in events.iter().enumerate() {
         streams[i % BENCH_TENANTS].push(*e);
     }
     let feeds: Vec<TenantFeed> = streams
@@ -289,8 +289,8 @@ pub fn run_bench(seed: u64, scale: f64, workers: usize) -> Result<BenchRecord, S
     // decode, and late materialization together. Row-position bounds
     // (rather than a third of the wall-clock span) keep the matched set
     // non-degenerate at every scale: activity lulls cannot empty it.
-    let third = |i: usize| out.events.get(i).map_or(SimTime::ZERO, |e| e.time);
-    let n = out.events.len();
+    let third = |i: usize| events.get(i).map_or(SimTime::ZERO, |e| e.time);
+    let n = events.len();
     let window = Query::all()
         .time_window(third(n / 3), third(2 * n / 3))
         .ops(OpSet::requests());

@@ -177,6 +177,7 @@ pub fn check_archive_chaos(
             .shards(workers)
             .faults(archive_fault_plan())
             .sink(ArchiveSink::Memory)
+            .collect_events()
             .run()
     };
 

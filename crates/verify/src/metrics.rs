@@ -95,6 +95,7 @@ pub fn core_metrics_json(seed: u64, scale: f64, workers: usize) -> Result<String
         .scale(scale)
         .shards(workers)
         .sink(charisma::ArchiveSink::Memory)
+        .collect_events()
         .run()?;
 
     let registry = MetricsRegistry::new();

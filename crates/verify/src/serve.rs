@@ -103,7 +103,11 @@ pub fn check_serve_gate(
     let tenants = tenants.max(1);
 
     // One pipeline run supplies the pinned workload.
-    let out = Pipeline::new().seed(seed).scale(scale).run()?;
+    let out = Pipeline::new()
+        .seed(seed)
+        .scale(scale)
+        .collect_events()
+        .run()?;
     let streams = partition(&out.events, tenants);
     let feeds = feeds_from(&streams);
     let config = ServiceConfig {
@@ -268,7 +272,11 @@ mod tests {
 
     #[test]
     fn partition_preserves_per_stream_order() {
-        let out = Pipeline::new().scale(0.01).run().expect("runs");
+        let out = Pipeline::new()
+            .scale(0.01)
+            .collect_events()
+            .run()
+            .expect("runs");
         for stream in partition(&out.events, 4) {
             for w in stream.windows(2) {
                 assert!((w[0].time, w[0].node) <= (w[1].time, w[1].node));

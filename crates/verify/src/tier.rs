@@ -149,6 +149,7 @@ pub fn check_tier_gate(seed: u64, scale: f64) -> Result<TierGateReport, charisma
         .seed(seed)
         .scale(scale)
         .sink(ArchiveSink::Memory)
+        .collect_events()
         .run()?;
     let bytes = out.archive.clone().unwrap_or_default();
     let archive = Archive::from_bytes(bytes.clone())?;

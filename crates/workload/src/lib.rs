@@ -32,5 +32,6 @@ pub use generate::{generate, GenStats, GeneratedWorkload, GeneratorConfig};
 pub use mix::{JobClass, JobPlan, Mix};
 pub use program::{FileSlot, Op, Program};
 pub use shard::{
-    generate_sharded, try_generate_sharded, ShardFailure, ShardedWorkload, LOGICAL_SHARDS,
+    generate_sharded, try_generate_rectified, try_generate_sharded, RectifiedWorkload,
+    ShardFailure, ShardedWorkload, WorkloadSummary, LOGICAL_SHARDS,
 };

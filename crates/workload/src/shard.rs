@@ -38,8 +38,8 @@ use std::sync::Mutex;
 
 use charisma_ipsc::SimTime;
 use charisma_obs::MetricsSnapshot;
-use charisma_trace::merge::MergedEvents;
-use charisma_trace::postprocess::postprocess;
+use charisma_trace::merge::{rectify_for_merge, MergedEvents};
+use charisma_trace::OrderedEvent;
 
 use crate::generate::{dataset_pool_size, generate_with_mix, GenStats, GeneratedWorkload};
 use crate::mix::{Mix, Scale};
@@ -125,12 +125,64 @@ impl ShardedWorkload {
     /// shard's blocks carry its own machine's clocks); the cross-shard
     /// order is the deterministic `(time, node, shard, seq)` merge.
     pub fn merged_events(&self) -> MergedEvents {
-        MergedEvents::new(self.shards.iter().map(|s| postprocess(&s.trace)).collect())
+        MergedEvents::new(
+            self.shards
+                .iter()
+                .map(|s| rectify_for_merge(&s.trace))
+                .collect(),
+        )
     }
 }
 
+/// What remains of a generated workload once its traces are consumed:
+/// the aggregate stats and the total record count.
+#[derive(Clone, Debug)]
+pub struct WorkloadSummary {
+    /// Stats aggregated across shards.
+    pub stats: GenStats,
+    records: usize,
+}
+
+impl WorkloadSummary {
+    /// Total trace records across all shards (the merged stream's length).
+    pub fn event_count(&self) -> usize {
+        self.records
+    }
+}
+
+/// A sharded workload rectified inside its shard workers: one stream per
+/// shard, already in merge order, with the raw traces dropped.
+#[derive(Clone, Debug)]
+pub struct RectifiedWorkload {
+    /// Per-shard rectified streams in `(time, node)` merge order, indexed
+    /// by shard. [`MergedEvents::new`] merges them without re-sorting,
+    /// into the stream [`ShardedWorkload::merged_events`] yields.
+    pub streams: Vec<Vec<OrderedEvent>>,
+    /// Aggregate stats and record count.
+    pub summary: WorkloadSummary,
+    /// Per-shard metric snapshots merged into one, exactly as
+    /// [`ShardedWorkload::metrics`].
+    pub metrics: MetricsSnapshot,
+}
+
+/// One shard's facts, taken before its worker's `finish` step consumes
+/// the generated workload.
+struct ShardFacts {
+    stats: GenStats,
+    records: usize,
+    metrics: MetricsSnapshot,
+}
+
+/// The output of [`run_sharded`]: every shard's finished payload, indexed
+/// by shard, plus the facts aggregated across shards.
+struct Sharded<T> {
+    parts: Vec<T>,
+    summary: WorkloadSummary,
+    metrics: MetricsSnapshot,
+}
+
 /// Merge per-shard stats into workload-level aggregates.
-fn merge_stats(shards: &[GeneratedWorkload]) -> GenStats {
+fn merge_stats(shards: &[ShardFacts]) -> GenStats {
     let mut out = GenStats::default();
     let mut weighted_reduction = 0.0;
     let mut weight = 0.0;
@@ -140,7 +192,7 @@ fn merge_stats(shards: &[GeneratedWorkload]) -> GenStats {
         out.sessions += s.stats.sessions;
         out.requests += s.stats.requests;
         out.end_time = out.end_time.max(s.stats.end_time);
-        let w = s.trace.event_count() as f64;
+        let w = s.records as f64;
         weighted_reduction += w * s.stats.message_reduction;
         weight += w;
     }
@@ -310,55 +362,99 @@ pub fn try_generate_sharded(
     config: &GeneratorConfig,
     workers: usize,
 ) -> Result<ShardedWorkload, ShardFailure> {
+    let run = run_sharded(config, workers, |workload| workload)?;
+    Ok(ShardedWorkload {
+        shards: run.parts,
+        stats: run.summary.stats,
+        metrics: run.metrics,
+    })
+}
+
+/// [`try_generate_sharded`], but each shard worker also rectifies its
+/// trace into merge order ([`rectify_for_merge`]) and drops the raw trace
+/// before claiming the next shard. The rectify cost runs in parallel, and
+/// no raw trace outlives its shard's worker step.
+///
+/// Merging its streams with [`MergedEvents::new`] yields exactly
+/// `try_generate_sharded(c, n)?.merged_events()`.
+pub fn try_generate_rectified(
+    config: &GeneratorConfig,
+    workers: usize,
+) -> Result<RectifiedWorkload, ShardFailure> {
+    let run = run_sharded(config, workers, |workload| {
+        rectify_for_merge(&workload.trace)
+    })?;
+    Ok(RectifiedWorkload {
+        streams: run.parts,
+        summary: run.summary,
+        metrics: run.metrics,
+    })
+}
+
+/// Where a worker leaves one shard's outcome for [`run_sharded`].
+type ShardSlot<T> = Mutex<Option<Result<(ShardFacts, T), ShardFailure>>>;
+
+/// Plan and partition `config`'s mix, then run every shard on up to
+/// `workers` threads, applying `finish` to each generated shard inside
+/// the worker that generated it. Shard facts (stats, record count,
+/// metrics) are taken before `finish` and aggregated here.
+fn run_sharded<T: Send>(
+    config: &GeneratorConfig,
+    workers: usize,
+    finish: impl Fn(GeneratedWorkload) -> T + Sync,
+) -> Result<Sharded<T>, ShardFailure> {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mix = Mix::plan(Scale(config.scale), &mut rng);
     let parts = partition_mix(&mix);
 
+    let outputs: Vec<ShardSlot<T>> = (0..parts.len()).map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    let claim = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= parts.len() {
+            break;
+        }
+        let result = run_shard_guarded(config, i, &parts[i]).map(|workload| {
+            let facts = ShardFacts {
+                stats: workload.stats,
+                records: workload.trace.event_count(),
+                metrics: workload.metrics.clone(),
+            };
+            (facts, finish(workload))
+        });
+        *outputs[i].lock().expect("shard output lock") = Some(result);
+    };
     let workers = workers.clamp(1, LOGICAL_SHARDS);
-    let results: Vec<Result<GeneratedWorkload, ShardFailure>> = if workers == 1 {
-        parts
-            .iter()
-            .enumerate()
-            .map(|(i, part)| run_shard_guarded(config, i, part))
-            .collect()
+    if workers == 1 {
+        claim();
     } else {
-        let outputs: Vec<Mutex<Option<Result<GeneratedWorkload, ShardFailure>>>> =
-            (0..parts.len()).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= parts.len() {
-                        break;
-                    }
-                    let result = run_shard_guarded(config, i, &parts[i]);
-                    *outputs[i].lock().expect("shard output lock") = Some(result);
-                });
+                scope.spawn(claim);
             }
         });
-        outputs
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("shard output lock")
-                    .expect("every shard ran")
-            })
-            .collect()
-    };
-    let mut shards = Vec::with_capacity(results.len());
-    for result in results {
-        shards.push(result?);
     }
 
-    let stats = merge_stats(&shards);
-    let mut metrics = MetricsSnapshot::new();
-    for shard in &shards {
-        metrics.merge(&shard.metrics);
+    let mut facts = Vec::with_capacity(outputs.len());
+    let mut finished = Vec::with_capacity(outputs.len());
+    for slot in outputs {
+        let (f, t) = slot
+            .into_inner()
+            .expect("shard output lock")
+            .expect("every shard ran")?;
+        facts.push(f);
+        finished.push(t);
     }
-    Ok(ShardedWorkload {
-        shards,
-        stats,
+    let mut metrics = MetricsSnapshot::new();
+    for f in &facts {
+        metrics.merge(&f.metrics);
+    }
+    Ok(Sharded {
+        parts: finished,
+        summary: WorkloadSummary {
+            stats: merge_stats(&facts),
+            records: facts.iter().map(|f| f.records).sum(),
+        },
         metrics,
     })
 }
@@ -454,6 +550,25 @@ mod tests {
         assert_eq!(h, stream_hash(&eight), "8 workers diverged from serial");
         assert_eq!(serial.stats.jobs, eight.stats.jobs);
         assert_eq!(serial.stats.requests, eight.stats.requests);
+    }
+
+    #[test]
+    fn rectified_in_workers_matches_rectified_after() {
+        let sharded = generate_sharded(&config(0.02), 2);
+        let want: Vec<_> = sharded.merged_events().collect();
+        for workers in [1, 2, 4] {
+            let rectified = try_generate_rectified(&config(0.02), workers).expect("runs");
+            assert_eq!(rectified.summary.event_count(), sharded.event_count());
+            let (a, b) = (rectified.summary.stats, sharded.stats);
+            assert_eq!(
+                (a.jobs, a.sessions, a.requests),
+                (b.jobs, b.sessions, b.requests)
+            );
+            assert_eq!(a.message_reduction.to_bits(), b.message_reduction.to_bits());
+            assert_eq!(rectified.metrics, sharded.metrics);
+            let got: Vec<_> = MergedEvents::new(rectified.streams).collect();
+            assert_eq!(got, want, "{workers} workers");
+        }
     }
 
     #[test]

@@ -49,12 +49,16 @@ fn main() -> Result<(), charisma::Error> {
         .run()?;
     println!(
         "site 0: pipeline published {} rows through the serve sink",
-        out.events.len()
+        out.workload.event_count()
     );
 
     // Site 1: a different campaign, ingested as an explicit batch feed
     // on two workers (the published bytes are worker-invariant).
-    let campaign1 = Pipeline::new().scale(0.01).seed(271).run()?;
+    let campaign1 = Pipeline::new()
+        .scale(0.01)
+        .seed(271)
+        .collect_events()
+        .run()?;
     let feed = TenantFeed {
         tenant: 1,
         batches: campaign1.events.chunks(2048).map(<[_]>::to_vec).collect(),
@@ -69,7 +73,11 @@ fn main() -> Result<(), charisma::Error> {
     // seeing exactly the prefix it pinned while ingest continues.
     // Small batches so the bounded queue (8 batches) overflows and
     // drains into sealed segments well before the feed ends.
-    let campaign2 = Pipeline::new().scale(0.01).seed(828).run()?;
+    let campaign2 = Pipeline::new()
+        .scale(0.01)
+        .seed(828)
+        .collect_events()
+        .run()?;
     let batches: Vec<Vec<OrderedEvent>> =
         campaign2.events.chunks(1024).map(<[_]>::to_vec).collect();
     let half = batches.len() / 2;

@@ -16,7 +16,12 @@ use charisma::prelude::*;
 
 fn main() -> Result<(), charisma::Error> {
     println!("Generating trace (10% scale, 4 workers)...");
-    let out = Pipeline::new().scale(0.10).seed(4994).shards(4).run()?;
+    let out = Pipeline::new()
+        .scale(0.10)
+        .seed(4994)
+        .shards(4)
+        .collect_events()
+        .run()?;
     let events = out.events;
     let index = SessionIndex::build(&events);
     println!("  {} events\n", events.len());

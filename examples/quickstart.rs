@@ -27,7 +27,7 @@ fn main() -> Result<(), charisma::Error> {
     );
     println!(
         "  {} trace records rectified and merged\n",
-        out.events.len()
+        out.workload.event_count()
     );
 
     // Every table and figure of the paper's section 4.

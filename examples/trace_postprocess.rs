@@ -3,8 +3,9 @@
 //!
 //! The iPSC/860 had no synchronized clocks; the paper timestamped each
 //! trace block when it left a node and when the collector received it,
-//! and fit per-node corrections. This example runs the pipeline sharded,
-//! pokes at the raw per-shard traces (clock fits, residual inversions),
+//! and fit per-node corrections. This example generates the sharded
+//! workload, pokes at the raw per-shard traces (clock fits), runs the
+//! pipeline to count residual inversions in the merged stream,
 //! then follows the modern path the merged stream takes afterwards: it is
 //! written as a `charisma-store` columnar archive, reopened from disk,
 //! and queried with zone-map pruning — the post-study workflow the
@@ -17,34 +18,29 @@
 use charisma::prelude::*;
 use charisma::store::StoreMetrics;
 use charisma::trace::postprocess::fit_all_clocks;
+use charisma::workload::{generate_sharded, GeneratorConfig};
 
 fn main() -> Result<(), charisma::Error> {
-    // `target/` keeps the archive out of the source tree.
-    let path = std::path::Path::new("target/trace_postprocess.charchive");
-    let out = Pipeline::new()
-        .scale(0.02)
-        .seed(4994)
-        .shards(2)
-        .sink(ArchiveSink::Path(path.into()))
-        .run()?;
-
-    // `PipelineOutput` keeps the raw pre-rectification traces, one per
-    // logical shard, for exactly this kind of measurement-layer analysis.
-    let total_blocks: usize = out
-        .workload
-        .shards
-        .iter()
-        .map(|s| s.trace.blocks.len())
-        .sum();
+    // The pipeline drops each shard's raw trace as soon as its worker
+    // has rectified it; the sharded generator hands back the raw
+    // pre-rectification traces, one per logical shard, for exactly this
+    // kind of measurement-layer analysis.
+    let config = GeneratorConfig {
+        scale: 0.02,
+        seed: 4994,
+        ..GeneratorConfig::default()
+    };
+    let raw = generate_sharded(&config, 2);
+    let total_blocks: usize = raw.shards.iter().map(|s| s.trace.blocks.len()).sum();
     println!(
         "collected {} blocks, {} records across {} shard traces",
         total_blocks,
-        out.workload.event_count(),
-        out.workload.shards.len()
+        raw.event_count(),
+        raw.shards.len()
     );
 
     // Estimated clock corrections per node, from the first shard's trace.
-    let trace = &out.workload.shards[0].trace;
+    let trace = &raw.shards[0].trace;
     let fits = fit_all_clocks(trace);
     let drifts: Vec<f64> = fits
         .iter()
@@ -52,6 +48,19 @@ fn main() -> Result<(), charisma::Error> {
         .collect();
     let max = drifts.iter().cloned().fold(0.0f64, |a, b| a.max(b.abs()));
     println!("estimated per-node clock drifts up to {max:.1} ppm relative to the collector");
+
+    // The same configuration through the pipeline, keeping the merged
+    // stream to inspect it. `target/` keeps the archive out of the
+    // source tree.
+    let path = std::path::Path::new("target/trace_postprocess.charchive");
+    let out = Pipeline::new()
+        .scale(config.scale)
+        .seed(config.seed)
+        .shards(2)
+        .sink(ArchiveSink::Path(path.into()))
+        .collect_events()
+        .run()?;
+    assert_eq!(out.workload.event_count(), raw.event_count());
 
     // How disordered is the merged rectified stream? Residual inversions
     // can only come from rectification error, not the merge: the merge is

@@ -14,8 +14,10 @@
 //! use charisma::prelude::*;
 //!
 //! let out = Pipeline::new().scale(0.01).seed(4994).shards(2).run()?;
-//! assert!(out.events.len() > 1000);
+//! assert!(out.workload.event_count() > 1000);
 //! assert!(out.report.render().contains("Figure 4"));
+//! // The merged stream itself is kept only on request.
+//! assert!(out.events.is_empty());
 //! # Ok::<(), charisma::Error>(())
 //! ```
 
@@ -29,9 +31,9 @@ use charisma_ipsc::{FaultPlan, MachineConfig};
 use charisma_obs::{MetricsRegistry, MetricsSnapshot, Probe};
 use charisma_serve::{ServeError, Service};
 use charisma_store::{ArchiveMeta, ArchiveWriter, StoreError, StoreMetrics};
-use charisma_trace::{MergeMetrics, OrderedEvent};
-use charisma_workload::shard::try_generate_sharded;
-use charisma_workload::{GeneratorConfig, ShardedWorkload};
+use charisma_trace::{MergeMetrics, MergedEvents, OrderedEvent};
+use charisma_workload::shard::{try_generate_rectified, RectifiedWorkload};
+use charisma_workload::{GeneratorConfig, WorkloadSummary};
 
 use crate::error::Error;
 
@@ -116,6 +118,7 @@ pub struct Pipeline {
     faults: FaultPlan,
     probe: Option<Arc<dyn Probe>>,
     archive: Option<ArchiveSink>,
+    collect_events: bool,
 }
 
 impl std::fmt::Debug for Pipeline {
@@ -129,6 +132,7 @@ impl std::fmt::Debug for Pipeline {
             .field("faults", &self.faults)
             .field("probe", &self.probe.as_ref().map(|_| "dyn Probe"))
             .field("archive", &self.archive)
+            .field("collect_events", &self.collect_events)
             .finish()
     }
 }
@@ -151,6 +155,7 @@ impl Pipeline {
             faults: FaultPlan::none(),
             probe: None,
             archive: None,
+            collect_events: false,
         }
     }
 
@@ -235,11 +240,24 @@ impl Pipeline {
         self
     }
 
-    /// Run the pipeline: generate the sharded workload, rectify and merge
-    /// the per-shard traces, and characterize the merged stream.
+    /// Also keep the merged event stream in [`PipelineOutput::events`]
+    /// (40 B per record). Off by default: the analysis and the archive
+    /// sink consume the merge as a stream and never need it, so a default
+    /// run leaves `events` empty. Callers that want the records without
+    /// the memory can reread them from an [`ArchiveSink`] archive.
+    #[must_use]
+    pub fn collect_events(mut self) -> Self {
+        self.collect_events = true;
+        self
+    }
+
+    /// Run the pipeline: generate the sharded workload, rectify each
+    /// shard inside the worker that generated it, merge the per-shard
+    /// streams, and characterize the merged stream.
     ///
     /// The analysis consumes the k-way merge as a stream, in the same
-    /// pass that materializes [`PipelineOutput::events`].
+    /// pass that feeds the archive sink and, with
+    /// [`Self::collect_events`], fills [`PipelineOutput::events`].
     pub fn run(self) -> Result<PipelineOutput, Error> {
         if !self.scale.is_finite() || self.scale <= 0.0 {
             return Err(Error::InvalidScale(self.scale));
@@ -259,11 +277,18 @@ impl Pipeline {
             None => MetricsRegistry::new(),
         };
         let started = Instant::now();
-        let workload = {
+        let RectifiedWorkload {
+            streams,
+            summary: workload,
+            mut metrics,
+        } = {
             let _generate = registry.span("pipeline.generate");
-            try_generate_sharded(&config, self.shards)?
+            try_generate_rectified(&config, self.shards)?
         };
-        let mut events = Vec::with_capacity(workload.event_count());
+        let mut events = Vec::new();
+        if self.collect_events {
+            events.reserve_exact(workload.event_count());
+        }
         let mut sink_state = match &self.archive {
             None => None,
             Some(ArchiveSink::Path(_) | ArchiveSink::Memory) => {
@@ -282,10 +307,12 @@ impl Pipeline {
         };
         let report = {
             let _analyze = registry.span("pipeline.analyze");
-            let mut merged = workload.merged_events();
+            let mut merged = MergedEvents::new(streams);
             merged.attach_metrics(MergeMetrics::register(&registry));
             Report::from_stream(merged.inspect(|e| {
-                events.push(*e);
+                if self.collect_events {
+                    events.push(*e);
+                }
                 match &mut sink_state {
                     Some(SinkState::Writer(w)) => w.push(e),
                     Some(SinkState::Serve { sink, buf, error }) if error.is_none() => {
@@ -327,12 +354,11 @@ impl Pipeline {
         // the simulation and the merge; the facade's own wall-clock
         // artifacts (span timings, throughput) live in the snapshot's
         // quarantined nondeterministic section.
-        let mut metrics = workload.metrics.clone();
         metrics.merge(&registry.snapshot());
         let elapsed = started.elapsed().as_secs_f64();
         if elapsed > 0.0 {
             #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            let rps = (events.len() as f64 / elapsed).round() as u64;
+            let rps = (workload.event_count() as f64 / elapsed).round() as u64;
             metrics.set_rate("pipeline.records_per_sec", rps);
         }
         Ok(PipelineOutput {
@@ -347,9 +373,12 @@ impl Pipeline {
 
 /// Everything one pipeline run produces.
 pub struct PipelineOutput {
-    /// The generated workload: per-shard raw traces plus aggregate stats.
-    pub workload: ShardedWorkload,
-    /// The rectified, deterministically merged event stream.
+    /// What the run generated: aggregate stats and the record count.
+    /// The raw per-shard traces are dropped inside the shard workers;
+    /// [`charisma_workload::generate_sharded`] returns them.
+    pub workload: WorkloadSummary,
+    /// The rectified, deterministically merged event stream — empty
+    /// unless [`Pipeline::collect_events`] was set.
     pub events: Vec<OrderedEvent>,
     /// The paper's full §4 characterization of that stream.
     pub report: Report,
@@ -381,12 +410,58 @@ mod tests {
 
     #[test]
     fn run_produces_a_coherent_output() {
-        let out = Pipeline::new().scale(0.02).shards(2).run().expect("runs");
+        let out = Pipeline::new()
+            .scale(0.02)
+            .shards(2)
+            .collect_events()
+            .run()
+            .expect("runs");
         assert_eq!(out.events.len(), out.workload.event_count());
         assert!(out.stats().jobs > 10);
         assert!(out.report.chars.jobs.len() == out.stats().jobs);
         for w in out.events.windows(2) {
             assert!((w[0].time, w[0].node) <= (w[1].time, w[1].node));
+        }
+    }
+
+    #[test]
+    fn default_run_keeps_no_event_stream() {
+        let out = Pipeline::new()
+            .scale(0.01)
+            .sink(ArchiveSink::Memory)
+            .run()
+            .expect("runs");
+        assert_eq!(out.events.capacity(), 0, "no stream kept or reserved");
+        assert!(out.workload.event_count() > 1000);
+    }
+
+    #[test]
+    fn collected_events_change_no_output() {
+        use charisma_store::{Archive, Query};
+
+        for workers in [1, 2, 4] {
+            let run = |collect: bool| {
+                let p = Pipeline::new()
+                    .scale(0.01)
+                    .shards(workers)
+                    .sink(ArchiveSink::Memory);
+                let p = if collect { p.collect_events() } else { p };
+                p.run().expect("runs")
+            };
+            let plain = run(false);
+            let collected = run(true);
+            assert_eq!(collected.archive, plain.archive, "{workers} workers");
+            assert_eq!(collected.report.render(), plain.report.render());
+            assert_eq!(
+                collected.metrics.to_core_json(),
+                plain.metrics.to_core_json()
+            );
+            let archive =
+                Archive::from_bytes(collected.archive.clone().expect("archive")).expect("parses");
+            assert_eq!(archive.rows(), collected.workload.event_count() as u64);
+            assert_eq!(archive.rows(), plain.workload.event_count() as u64);
+            let reread = archive.query(Query::all()).events().expect("scans");
+            assert_eq!(reread, collected.events);
         }
     }
 
@@ -401,7 +476,7 @@ mod tests {
         assert!(out.metrics.counters["cfs.read_requests"] > 0);
         assert_eq!(
             out.metrics.counters["merge.records_merged"],
-            out.events.len() as u64
+            out.workload.event_count() as u64
         );
         assert!(out.metrics.timings.contains_key("pipeline.generate"));
         assert!(out.metrics.timings.contains_key("pipeline.analyze"));
@@ -449,7 +524,7 @@ mod tests {
             .faults(FaultPlan::chaos_fixture())
             .run()
             .expect("chaos run completes");
-        assert!(out.events.len() > 1000);
+        assert!(out.workload.event_count() > 1000);
         assert!(out.metrics.counters["faults.injected"] > 0);
         // Worker count still does not matter under chaos.
         let serial = Pipeline::new()
@@ -468,6 +543,7 @@ mod tests {
             .scale(0.01)
             .shards(2)
             .sink(ArchiveSink::Memory)
+            .collect_events()
             .run()
             .expect("runs");
         let bytes = out.archive.as_deref().expect("archive bytes present");
@@ -565,7 +641,7 @@ mod tests {
         // The catalog stays live in the service for other readers, and
         // sibling tenants are untouched.
         let snap = service.snapshot(1).expect("snapshots");
-        assert_eq!(snap.rows(), out.events.len() as u64);
+        assert_eq!(snap.rows(), out.workload.event_count() as u64);
         assert_eq!(service.snapshot(0).expect("snapshots").rows(), 0);
     }
 

@@ -28,6 +28,7 @@ fn worker_count_is_invisible_in_events_and_report() {
             .scale(0.02)
             .seed(4994)
             .shards(workers)
+            .collect_events()
             .run()
             .expect("valid config")
     };
@@ -53,14 +54,26 @@ fn worker_count_is_invisible_in_events_and_report() {
 
 #[test]
 fn seeds_change_the_stream() {
-    let a = Pipeline::new().scale(0.02).seed(1).run().unwrap();
-    let b = Pipeline::new().scale(0.02).seed(2).run().unwrap();
+    let run = |seed: u64| {
+        Pipeline::new()
+            .scale(0.02)
+            .seed(seed)
+            .collect_events()
+            .run()
+            .unwrap()
+    };
+    let (a, b) = (run(1), run(2));
     assert_ne!(stream_hash(&a.events), stream_hash(&b.events));
 }
 
 #[test]
 fn output_is_internally_consistent() {
-    let out = Pipeline::new().scale(0.02).shards(4).run().unwrap();
+    let out = Pipeline::new()
+        .scale(0.02)
+        .shards(4)
+        .collect_events()
+        .run()
+        .unwrap();
     assert_eq!(out.events.len(), out.workload.event_count());
     assert!(out.stats().jobs > 10);
     // The merged stream is globally ordered.
