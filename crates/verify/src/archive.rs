@@ -13,97 +13,63 @@
 //!    stream record-for-record, and the report computed *from the
 //!    archive* renders identically to the report the pipeline computed
 //!    in memory.
-//! 3. **Pruning is pure optimization** — a time-window query must prune
-//!    at least one segment (`store.segments_pruned > 0` at gate scale)
-//!    while returning exactly the records a plain filter of the full
-//!    stream returns, with serial and multi-worker scans agreeing.
+//! 3. **Pruning is pure optimization** — a time-window query, alone and
+//!    narrowed to request records, must prune at least one segment
+//!    (`store.segments_pruned > 0` at gate scale) while returning exactly
+//!    the records a plain filter of the full stream returns, with serial
+//!    and multi-worker scans agreeing; the request query must decode
+//!    fewer than all ten columns per scanned row (predicate-first decode
+//!    with late materialization).
 
 use charisma::prelude::*;
-use charisma::store::StoreMetrics;
+use charisma::store::{OpSet, StoreMetrics};
+use charisma_ipsc::FaultPlan;
 
 use crate::determinism::fnv1a_hash;
+use crate::harness::{
+    check_invariance, diff_bytes, gate_run, middle_third, Cell, GateArgs, GateError, GateReport,
+    GateRun,
+};
 
-/// Outcome of the archive gate: the canonical fixture line the run
-/// produced, plus every complaint (empty means the gate passed).
-#[derive(Clone, Debug)]
-pub struct ArchiveGateReport {
-    /// The fixture line for this seed/scale (hash, size, shape).
-    pub fixture_line: String,
-    /// Human-readable violations, empty on success.
-    pub complaints: Vec<String>,
-}
+/// Columns in the archive schema: what a full-decode scan reads per row.
+const SCHEMA_COLUMNS: u64 = 10;
 
-/// Render the archive-hash fixture line for one serial pipeline run.
-///
-/// One line, fully self-describing:
-/// `seed=… scale=… fnv1a=0x… bytes=… rows=… segments=…`
-pub fn archive_fixture_line(seed: u64, scale: f64) -> Result<String, charisma::Error> {
-    let bytes = archive_bytes(seed, scale, 1)?;
-    let archive = Archive::from_bytes(bytes.clone())?;
-    Ok(format!(
-        "seed={} scale={} fnv1a={:#018x} bytes={} rows={} segments={}\n",
-        seed,
-        scale,
-        fnv1a_hash(&bytes),
-        bytes.len(),
-        archive.rows(),
-        archive.segments(),
-    ))
-}
+/// Run the full archive gate at `--seed`/`--scale`, scanning with
+/// `--workers` threads where the scan is parallel.
+pub fn gate(args: &GateArgs) -> Result<GateReport, GateError> {
+    let (seed, scale, workers) = (args.seed, args.scale, args.count);
 
-/// The archive bytes of one pipeline run on `workers` threads.
-fn archive_bytes(seed: u64, scale: f64, workers: usize) -> Result<Vec<u8>, charisma::Error> {
-    let out = Pipeline::new()
-        .seed(seed)
-        .scale(scale)
-        .shards(workers)
-        .sink(charisma::ArchiveSink::Memory)
-        .run()?;
-    out.archive
-        .ok_or(charisma::Error::Store(StoreError::Corrupt(
-            "pipeline produced no archive despite an in-memory sink",
-        )))
-}
-
-/// Run the full archive gate at `seed`/`scale`, scanning with `workers`
-/// threads where the scan is parallel.
-pub fn check_archive_gate(
-    seed: u64,
-    scale: f64,
-    workers: usize,
-) -> Result<ArchiveGateReport, charisma::Error> {
-    let mut complaints = Vec::new();
-
-    // One serial run supplies the reference stream, report, and bytes.
-    let out = Pipeline::new()
-        .seed(seed)
-        .scale(scale)
-        .sink(charisma::ArchiveSink::Memory)
-        .collect_events()
-        .run()?;
-    let bytes = out
-        .archive
-        .clone()
-        .ok_or(charisma::Error::Store(StoreError::Corrupt(
-            "pipeline produced no archive despite an in-memory sink",
-        )))?;
-
-    // 1. Canonical bytes: worker count must not leak into the format.
-    for n in [2, workers.max(2)] {
-        let other = archive_bytes(seed, scale, n)?;
-        if other != bytes {
-            complaints.push(format!(
-                "archive bytes from a {n}-worker run differ from the serial run \
-                 ({} vs {} bytes, fnv1a {:#018x} vs {:#018x})",
-                other.len(),
-                bytes.len(),
-                fnv1a_hash(&other),
-                fnv1a_hash(&bytes),
-            ));
-        }
-    }
-
+    // 1. Canonical bytes: worker count must not leak into the format. The
+    // serial baseline also supplies the reference stream and report.
+    let checked = check_invariance(
+        "archive bytes",
+        &[Cell::workers(2), Cell::workers(workers.max(1))],
+        false,
+        |cell| {
+            gate_run(
+                seed,
+                scale,
+                cell.workers,
+                FaultPlan::none(),
+                cell == Cell::SERIAL,
+            )
+        },
+        |a, b| diff_bytes(&a.archive, &b.archive),
+    )?;
+    let mut complaints = checked.complaints;
+    let GateRun {
+        archive: bytes,
+        out,
+    } = checked.baseline;
+    // The fixture line, fully self-describing:
+    // `seed=… scale=… fnv1a=0x… bytes=… rows=… segments=…`.
+    let (hash, size) = (fnv1a_hash(&bytes), bytes.len());
     let archive = Archive::from_bytes(bytes)?;
+    let line = format!(
+        "seed={seed} scale={scale} fnv1a={hash:#018x} bytes={size} rows={} segments={}\n",
+        archive.rows(),
+        archive.segments()
+    );
 
     // 2a. Round trip: the all-pass scan reproduces the merged stream.
     let reread = archive.query(Query::all()).workers(workers).events()?;
@@ -132,88 +98,70 @@ pub fn check_archive_gate(
         );
     }
 
-    // 3. Predicate pushdown: a middle-third time window must prune
-    // segments yet agree exactly with a plain filter of the full stream.
-    if let Some((t0, t1)) = archive.time_span() {
-        let span = t1.as_micros() - t0.as_micros();
-        let window = Query::all().time_window(
-            SimTime::from_micros(t0.as_micros() + span / 3),
-            SimTime::from_micros(t0.as_micros() + 2 * span / 3),
-        );
+    // 3. Predicate pushdown: the middle-third window, alone and over
+    // request records only, must prune segments yet agree exactly with a
+    // plain filter of the full stream.
+    if out.events.is_empty() {
+        complaints.push("archive is empty at gate scale — nothing to prune".to_owned());
+    }
+    let window = middle_third(&out.events);
+    let requests = window.clone().ops(OpSet::requests());
+    for query in [window, requests.clone()] {
         let registry = MetricsRegistry::new();
+        let metrics = StoreMetrics::register(&registry);
         let pruned = archive
-            .query(window.clone())
+            .query(query.clone())
             .workers(workers)
-            .attach_metrics(StoreMetrics::register(&registry))
+            .attach_metrics(metrics)
             .events()?;
         let want: Vec<OrderedEvent> = out
             .events
             .iter()
-            .filter(|e| window.matches(e))
+            .filter(|e| query.matches(e))
             .copied()
             .collect();
         if pruned != want {
             complaints.push(format!(
-                "time-window query returned {} records; a plain filter of the \
+                "query {query:?} returned {} records; a plain filter of the \
                  stream returns {}",
                 pruned.len(),
                 want.len(),
             ));
         }
-        let snap = registry.snapshot();
-        let pruned_segments = snap.counters.get("store.segments_pruned").copied();
-        if pruned_segments.unwrap_or(0) == 0 {
+        let counters = registry.snapshot().counters;
+        let counter = |key: &str| counters.get(key).copied().unwrap_or(0);
+        if counter("store.segments_pruned") == 0 {
             complaints.push(format!(
-                "middle-third time window pruned no segments (archive has {}) — \
+                "query {query:?} pruned no segments (archive has {}) — \
                  zone-map pushdown is not engaging",
                 archive.segments(),
             ));
         }
+        let (cols, rows) = (counter("store.cols_decoded"), counter("store.rows_scanned"));
+        if query == requests && cols >= SCHEMA_COLUMNS * rows {
+            complaints.push(format!(
+                "request query decoded {cols} columns over {rows} scanned rows — \
+                 predicate-first decode is not skipping late columns",
+            ));
+        }
         // Serial scan of the same query must agree with the parallel one.
-        let serial = archive.query(window).events()?;
+        let serial = archive.query(query.clone()).events()?;
         if serial != pruned {
             complaints.push(format!(
-                "serial scan and {workers}-worker scan of the same query \
+                "serial scan and {workers}-worker scan of query {query:?} \
                  disagree ({} vs {} records)",
                 serial.len(),
                 pruned.len(),
             ));
         }
-    } else {
-        complaints.push("archive is empty at gate scale — nothing to prune".to_owned());
     }
 
-    Ok(ArchiveGateReport {
-        fixture_line: archive_fixture_line(seed, scale)?,
+    let mut report = GateReport::default();
+    report.record(
         complaints,
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fixture_line_is_stable_and_self_describing() {
-        let a = archive_fixture_line(4994, 0.01).expect("runs");
-        let b = archive_fixture_line(4994, 0.01).expect("runs");
-        assert_eq!(a, b);
-        assert!(a.starts_with("seed=4994 scale=0.01 fnv1a=0x"));
-        assert!(a.contains(" rows=") && a.contains(" segments="));
-        assert!(a.ends_with('\n'));
-    }
-
-    #[test]
-    fn gate_passes_at_test_scale() {
-        let report = check_archive_gate(4994, 0.01, 4).expect("runs");
-        assert!(
-            report.complaints.is_empty(),
-            "unexpected complaints: {:?}",
-            report.complaints
-        );
-        assert_eq!(
-            report.fixture_line,
-            archive_fixture_line(4994, 0.01).expect("runs")
-        );
-    }
+        "archive bytes canonical, round trip exact, pruning conservative".to_owned(),
+    );
+    args.check_fixture(&mut report, "archive_hash.txt", &line)?;
+    report.summary.push(format!("  {}", line.trim_end()));
+    Ok(report)
 }

@@ -6,26 +6,27 @@
 //! so a chaos run must be exactly as repeatable and worker-count-invariant
 //! as a clean one. `charisma-verify chaos` turns that into a gate:
 //!
-//! 1. **Plan fixture** — the canonical chaos plan
+//! 1. **Plan fixtures** — the canonical chaos plan
 //!    ([`FaultPlan::chaos_fixture`]) is checked in as
-//!    `crates/verify/fixtures/fault_plan_chaos.txt`. The gate parses the
-//!    fixture and compares it field-for-field against the builtin, so any
-//!    drift in either the plan or its text codec is visible in review.
-//! 2. **Repeatability** — the sharded pipeline runs twice under the plan
-//!    on `N` workers; the record streams must be byte-identical.
-//! 3. **Worker-count invariance** — the `N`-worker chaos stream must be
-//!    byte-identical to the serial one.
-//! 4. **Fault-metrics snapshot** — the chaos run's deterministic metrics
+//!    `crates/verify/fixtures/fault_plan_chaos.txt`, and the archive-fault
+//!    plan as `fault_plan_archive.txt`. The gate renders each builtin with
+//!    the plan text codec and compares the text, so any drift in either
+//!    the plan or its codec is visible in review.
+//! 2. **Repeatability and worker-count invariance** — the sharded
+//!    pipeline runs under the plan serially, on `N` workers, and on `N`
+//!    workers again; the record streams must be byte-identical.
+//! 3. **Fault-metrics snapshot** — the chaos run's deterministic metrics
 //!    core (which now includes the `faults.*` counters) is diffed against
 //!    `crates/verify/fixtures/metrics_snapshot_chaos.json`, pinning the
 //!    exact number of injected faults, retries, timeouts, and degraded
 //!    serves at the gate's seed and scale.
-//! 5. **Archive-fault drill** — [`check_archive_chaos`] runs the pipeline
+//! 4. **Archive-fault drill** — [`check_archive_chaos`] runs the pipeline
 //!    under [`archive_fault_plan`] (the chaos plan plus replica corruption
 //!    and loss, pinned as `fault_plan_archive.txt`), checks the archive
 //!    stays repeatable and worker-count invariant, then places the sealed
-//!    container on a replica set, injects the plan's damage, and proves
-//!    failover, byte-identical scrub repair, torn-tail recovery of the
+//!    container on a replica set, proves a scrub of the fresh placement
+//!    repairs nothing, injects the plan's damage, and proves failover,
+//!    byte-identical scrub repair, torn-tail recovery of the
 //!    sealed prefix, and degraded-tenant federation equal to the healthy
 //!    one. The pipeline itself never draws the archive rates.
 //!
@@ -33,87 +34,59 @@
 //! `invariant!` assertion in the simulation crates is live while the
 //! faults fire.
 
-use charisma::obs::MetricsRegistry;
-use charisma::serve::{Service, ServiceConfig, Snapshot, TenantFeed};
+use charisma::obs::{MetricsRegistry, MetricsSnapshot};
+use charisma::serve::{Service, ServiceConfig, Snapshot};
 use charisma::store::{Archive, Query, ReplicaConfig, ReplicaSet, StoreError, StoreMetrics};
-use charisma::{ArchiveSink, Pipeline};
+use charisma::Pipeline;
 use charisma_ipsc::{FaultMetrics, FaultPlan};
 
-use crate::determinism::{check_determinism, sharded_record_stream_with_faults, DeterminismReport};
+use crate::determinism::{stream_invariance, stream_proof};
+use crate::harness::{
+    check_invariance, diff_bytes, diff_text, gate_run, tenant_feeds, Cell, GateArgs, GateError,
+    GateReport, GateRun,
+};
 
-/// The canonical chaos plan the gate runs under — a moderately hostile
-/// environment: disk transients, one I/O node lost an hour in, service
-/// stalls, message delay/drop/duplication, and clock jumps.
-pub fn chaos_plan() -> FaultPlan {
-    FaultPlan::chaos_fixture()
-}
-
-/// Run the sharded pipeline twice under the chaos plan on `workers`
-/// threads and diff the record streams.
-pub fn check_chaos_determinism(seed: u64, scale: f64, workers: usize) -> DeterminismReport {
-    check_determinism(
-        sharded_record_stream_with_faults(seed, scale, workers, chaos_plan()),
-        sharded_record_stream_with_faults(seed, scale, workers, chaos_plan()),
-    )
-}
-
-/// Diff the serial chaos run against a `workers`-thread chaos run: fault
-/// injection must not make worker count observable.
-pub fn check_chaos_shard_equivalence(seed: u64, scale: f64, workers: usize) -> DeterminismReport {
-    check_determinism(
-        sharded_record_stream_with_faults(seed, scale, 1, chaos_plan()),
-        sharded_record_stream_with_faults(seed, scale, workers, chaos_plan()),
-    )
-}
-
-/// Render the deterministic metrics core of a chaos-plan pipeline run.
-pub fn chaos_metrics_json(
+/// The metrics of a chaos-plan pipeline run on `workers` shard threads.
+///
+/// The run has no archive sink: `metrics_snapshot_chaos.json` pins a core
+/// without `store.*` counters.
+pub fn chaos_metrics(
     seed: u64,
     scale: f64,
     workers: usize,
-) -> Result<String, charisma::Error> {
+) -> Result<MetricsSnapshot, charisma::Error> {
     let out = Pipeline::new()
         .seed(seed)
         .scale(scale)
         .shards(workers)
-        .faults(chaos_plan())
+        .faults(FaultPlan::chaos_fixture())
         .run()?;
-    Ok(out.metrics.to_core_json())
+    Ok(out.metrics)
 }
 
-/// Sanity-check a chaos run's metrics core: problems with the fault
-/// counters that no fixture diff would name clearly.
+/// Sanity-check a chaos run's metrics: problems with the fault counters
+/// that no fixture diff would name clearly.
 ///
 /// Returns human-readable complaints; empty means the chaos layer was
 /// demonstrably active and the recovery machinery demonstrably engaged.
-pub fn check_fault_activity(core_json: &str) -> Vec<String> {
-    let mut complaints = Vec::new();
-    let mut require = |key: &str| {
-        let value = counter_value(core_json, key);
-        match value {
-            None => complaints.push(format!("`{key}` missing from the chaos metrics core")),
-            Some(0) => complaints.push(format!(
-                "`{key}` is zero: the chaos fixture must exercise it"
-            )),
-            Some(_) => {}
-        }
-    };
-    require("faults.injected");
-    require("faults.disk_transient");
-    require("faults.retried");
-    require("faults.degraded");
-    require("faults.msg_delayed");
-    require("faults.clock_jumps");
-    complaints
-}
-
-/// Extract a `"key": value` counter from the canonical core JSON.
-fn counter_value(core_json: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\": ");
-    let at = core_json.find(&needle)?;
-    let rest = &core_json[at + needle.len()..];
-    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
+pub fn check_fault_activity(metrics: &MetricsSnapshot) -> Vec<String> {
+    [
+        "faults.injected",
+        "faults.disk_transient",
+        "faults.retried",
+        "faults.degraded",
+        "faults.msg_delayed",
+        "faults.clock_jumps",
+    ]
+    .into_iter()
+    .filter_map(|key| match metrics.counters.get(key) {
+        None => Some(format!("`{key}` missing from the chaos metrics core")),
+        Some(0) => Some(format!(
+            "`{key}` is zero: the chaos fixture must exercise it"
+        )),
+        Some(_) => None,
+    })
+    .collect()
 }
 
 /// The archive-fault plan: the canonical chaos environment with the
@@ -130,25 +103,29 @@ pub fn archive_fault_plan() -> FaultPlan {
     plan
 }
 
-/// Compare a parsed archive-fault plan fixture against the builtin.
-pub fn diff_archive_plan(fixture: &FaultPlan) -> Option<String> {
-    let builtin = archive_fault_plan();
-    if *fixture == builtin {
-        return None;
-    }
-    Some(format!(
-        "fixture plan != builtin archive-fault plan\n  fixture: {fixture:?}\n  builtin: {builtin:?}"
-    ))
+/// How two faulted runs differ: archive bytes and deterministic metric
+/// cores.
+fn diff_faulted(a: &GateRun, b: &GateRun) -> Option<String> {
+    let diffs: Vec<String> = [
+        diff_bytes(&a.archive, &b.archive).map(|d| format!("archive bytes differ ({d})")),
+        diff_text(&a.out.metrics.to_core_json(), &b.out.metrics.to_core_json())
+            .map(|d| format!("metric cores differ: {d}")),
+    ]
+    .into_iter()
+    .flatten()
+    .collect();
+    (!diffs.is_empty()).then(|| diffs.join("; "))
 }
 
 /// The archive-fault gate: run the pipeline under [`archive_fault_plan`],
 /// then drill a replica set over the run's archive at the plan's rates
 /// and hold the self-healing layer to its contracts:
 ///
-/// 1. **Repeatability** — two faulted runs publish identical archive
-///    bytes and identical deterministic metric cores.
-/// 2. **Worker-count invariance** — the `shards`-worker faulted run
-///    equals the serial one, bytes and core.
+/// 1. **Repeatability and worker-count invariance** — the serial run, the
+///    `shards`-worker run and its repeat publish identical archive bytes
+///    and identical deterministic metric cores.
+/// 2. **A fresh placement is clean** — scrubbing the set before any
+///    damage is injected repairs nothing and loses nothing.
 /// 3. **Fault activity** — the drill's `faults.archive.*` and
 ///    `store.scrub.*` counters are live: damage was injected and every
 ///    damaged copy repaired, not skipped.
@@ -163,61 +140,46 @@ pub fn diff_archive_plan(fixture: &FaultPlan) -> Option<String> {
 ///    the healthy federation.
 ///
 /// Returns human-readable complaints; empty means the gate passed.
-pub fn check_archive_chaos(
-    seed: u64,
-    scale: f64,
-    shards: usize,
-) -> Result<Vec<String>, charisma::Error> {
-    let mut complaints = Vec::new();
+pub fn check_archive_chaos(seed: u64, scale: f64, shards: usize) -> Result<Vec<String>, GateError> {
     let plan = archive_fault_plan();
-    let run = |workers: usize| {
-        Pipeline::new()
-            .seed(seed)
-            .scale(scale)
-            .shards(workers)
-            .faults(archive_fault_plan())
-            .sink(ArchiveSink::Memory)
-            .collect_events()
-            .run()
-    };
+    // 1. Repeatability and worker-count invariance; the serial baseline
+    // keeps the merged stream for the drill.
+    let checked = check_invariance(
+        "archive-fault run",
+        &[Cell::workers(shards)],
+        true,
+        |cell| {
+            gate_run(
+                seed,
+                scale,
+                cell.workers,
+                plan.clone(),
+                cell == Cell::SERIAL,
+            )
+        },
+        diff_faulted,
+    )?;
+    let mut complaints = checked.complaints;
+    let GateRun {
+        archive: bytes,
+        out,
+    } = checked.baseline;
 
-    let out = run(shards)?;
-    let bytes = out.archive.clone().unwrap_or_default();
-    let core = out.metrics.to_core_json();
-    if bytes.is_empty() {
-        complaints.push("faulted pipeline produced no archive bytes".to_owned());
-        return Ok(complaints);
-    }
-
-    // 1. Repeatability.
-    let again = run(shards)?;
-    if again.archive.as_deref() != Some(bytes.as_slice()) {
-        complaints.push("two identical faulted runs published different archive bytes".to_owned());
-    }
-    if again.metrics.to_core_json() != core {
-        complaints.push("two identical faulted runs produced different metric cores".to_owned());
-    }
-
-    // 2. Worker-count invariance.
-    if shards > 1 {
-        let serial = run(1)?;
-        if serial.archive.as_deref() != Some(bytes.as_slice()) {
-            complaints.push(format!(
-                "serial archive bytes differ from the {shards}-worker run"
-            ));
-        }
-        if serial.metrics.to_core_json() != core {
-            complaints.push(format!(
-                "serial metric core differs from the {shards}-worker run"
-            ));
-        }
-    }
-
-    // 3–4. Replica drill: place, damage at the plan's rates, fail over,
-    // scrub, and read back clean, counting into a registry of its own.
+    // 2. Placement alone must not damage anything.
     let archive = Archive::from_bytes(bytes.clone())?;
-    let registry = MetricsRegistry::new();
     let mut set = ReplicaSet::place(archive.reader(), ReplicaConfig::default(), plan.seed);
+    let fresh = set.scrub();
+    if fresh.repaired != 0 || !fresh.healthy() {
+        complaints.push(format!(
+            "scrub of a freshly placed replica set repaired {} copies and declared \
+             segment(s) {:?} unrecoverable before any fault was injected",
+            fresh.repaired, fresh.unrecoverable
+        ));
+    }
+
+    // 3–4. Replica drill: damage at the plan's rates, fail over, scrub,
+    // and read back clean, counting into a registry of its own.
+    let registry = MetricsRegistry::new();
     set.attach_metrics(StoreMetrics::register(&registry));
     let injected = set.inject_faults(plan.archive_corrupt_ppm, plan.replica_loss_ppm);
     let fm = FaultMetrics::register(&registry);
@@ -306,16 +268,7 @@ pub fn check_archive_chaos(
         tenants: 2,
         ..ServiceConfig::default()
     });
-    let half = out.events.len() / 2;
-    let feeds: Vec<TenantFeed> = [&out.events[..half], &out.events[half..]]
-        .iter()
-        .enumerate()
-        .map(|(tenant, events)| TenantFeed {
-            tenant,
-            batches: events.chunks(1024).map(<[_]>::to_vec).collect(),
-        })
-        .collect();
-    service.run_ingest(&feeds, 2, 1)?;
+    service.run_ingest(&tenant_feeds(&out.events, 2, 1024), 2, 1)?;
     let query = Query::all();
     let want = service.federated(query.clone()).workers(2).events()?;
     let mut snapshots = service.snapshot_all();
@@ -341,18 +294,50 @@ pub fn check_archive_chaos(
     Ok(complaints)
 }
 
-/// Compare a parsed plan fixture against the builtin chaos plan.
-///
-/// Returns `None` on match, or a description of the first field-level
-/// divergence (via the plans' `Debug` forms, which name every field).
-pub fn diff_plan(fixture: &FaultPlan) -> Option<String> {
-    let builtin = chaos_plan();
-    if *fixture == builtin {
-        return None;
+/// `charisma-verify chaos`: the plan fixtures, the faulted stream's
+/// invariance, fault activity, the chaos metrics fixture, and the
+/// archive-fault drill.
+pub fn gate(args: &GateArgs) -> Result<GateReport, GateError> {
+    let (seed, scale, shards) = (args.seed, args.scale, args.count.max(1));
+    let mut report = GateReport::default();
+    args.check_fixture(
+        &mut report,
+        "fault_plan_chaos.txt",
+        &FaultPlan::chaos_fixture().encode(),
+    )?;
+    args.check_fixture(
+        &mut report,
+        "fault_plan_archive.txt",
+        &archive_fault_plan().encode(),
+    )?;
+
+    {
+        // Scoped so the record streams are freed before the drill runs.
+        let streams = stream_invariance(seed, scale, shards, &FaultPlan::chaos_fixture());
+        report.record(
+            streams.complaints,
+            stream_proof("chaos stream", shards, &streams.baseline),
+        );
     }
-    Some(format!(
-        "fixture plan != builtin chaos plan\n  fixture: {fixture:?}\n  builtin: {builtin:?}"
-    ))
+
+    let metrics = chaos_metrics(seed, scale, shards)?;
+    report.record(
+        check_fault_activity(&metrics),
+        "fault counters show the chaos machinery engaged".to_owned(),
+    );
+    args.check_fixture(
+        &mut report,
+        "metrics_snapshot_chaos.json",
+        &metrics.to_core_json(),
+    )?;
+
+    report.record(
+        check_archive_chaos(seed, scale, shards)?,
+        "archive faults heal: clean placement, failover, scrub repair, torn-tail \
+         recovery, and degraded federation all byte-exact"
+            .to_owned(),
+    );
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -360,46 +345,36 @@ mod tests {
     use super::*;
 
     #[test]
-    fn plan_round_trips_through_the_text_codec() {
-        let encoded = chaos_plan().encode();
-        let parsed = FaultPlan::parse(&encoded).expect("canonical plan parses");
-        assert_eq!(diff_plan(&parsed), None);
+    fn plans_round_trip_through_the_text_codec() {
+        for plan in [FaultPlan::chaos_fixture(), archive_fault_plan()] {
+            let parsed = FaultPlan::parse(&plan.encode()).expect("canonical plan parses");
+            assert_eq!(parsed, plan);
+        }
     }
 
     #[test]
-    fn archive_plan_round_trips_and_differs_only_in_archive_rates() {
-        let encoded = archive_fault_plan().encode();
-        let parsed = FaultPlan::parse(&encoded).expect("archive plan parses");
-        assert_eq!(diff_archive_plan(&parsed), None);
-        // It is the chaos plan plus the archive rates — nothing else.
-        let mut base = chaos_plan();
-        base.archive_corrupt_ppm = parsed.archive_corrupt_ppm;
-        base.replica_loss_ppm = parsed.replica_loss_ppm;
-        assert_eq!(base, parsed);
-        assert!(parsed.archive_corrupt_ppm > 0 && parsed.replica_loss_ppm > 0);
-        // And the chaos fixture itself keeps them off.
-        let complaint = diff_archive_plan(&chaos_plan()).expect("plans differ");
-        assert!(complaint.contains("archive"), "{complaint}");
+    fn archive_plan_differs_only_in_archive_rates() {
+        let archive = archive_fault_plan();
+        let mut base = FaultPlan::chaos_fixture();
+        assert_eq!(base.archive_corrupt_ppm + base.replica_loss_ppm, 0);
+        base.archive_corrupt_ppm = archive.archive_corrupt_ppm;
+        base.replica_loss_ppm = archive.replica_loss_ppm;
+        assert_eq!(base, archive);
+        assert!(archive.archive_corrupt_ppm > 0 && archive.replica_loss_ppm > 0);
     }
 
     #[test]
-    fn diff_plan_names_a_divergence() {
-        let mut tweaked = chaos_plan();
-        tweaked.disk_transient_ppm += 1;
-        let complaint = diff_plan(&tweaked).expect("divergence detected");
-        assert!(complaint.contains("disk_transient_ppm"), "{complaint}");
-    }
-
-    #[test]
-    fn counter_extraction_reads_canonical_json() {
-        let json = "{\n  \"counters\": {\n    \"faults.injected\": 42,\n    \"x\": 0\n  }\n}";
-        assert_eq!(counter_value(json, "faults.injected"), Some(42));
-        assert_eq!(counter_value(json, "x"), Some(0));
-        assert_eq!(counter_value(json, "missing"), None);
-        let complaints = check_fault_activity(json);
-        assert!(
-            complaints.iter().any(|c| c.contains("faults.retried")),
-            "missing counters are named: {complaints:?}"
-        );
+    fn fault_activity_names_missing_and_idle_counters() {
+        let mut metrics = MetricsSnapshot::default();
+        metrics.counters.insert("faults.injected".to_owned(), 42);
+        metrics.counters.insert("faults.retried".to_owned(), 0);
+        let complaints = check_fault_activity(&metrics);
+        assert_eq!(complaints.len(), 5, "{complaints:?}");
+        assert!(complaints
+            .iter()
+            .any(|c| c.contains("`faults.retried` is zero")));
+        assert!(complaints
+            .iter()
+            .any(|c| c.contains("`faults.clock_jumps` missing")));
     }
 }

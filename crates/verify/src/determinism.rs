@@ -1,17 +1,19 @@
 //! End-to-end determinism harness.
 //!
 //! `charisma-verify determinism` runs the full workload→simulate→trace
-//! pipeline twice with the same seed and compares a streaming hash of every
-//! emitted record — the raw per-node trace stream *and* the postprocessed
-//! (clock-rectified, globally ordered) stream. Any divergence is localized
-//! to the first differing record, which is usually enough to name the
-//! offending `HashMap` iteration or unseeded RNG.
+//! pipeline serially, at `N` workers, and at `N` workers again, and
+//! compares a streaming hash of every emitted record — the raw per-node
+//! trace stream *and* the postprocessed (clock-rectified, globally
+//! ordered) stream. Any divergence is localized to the first differing
+//! record, which is usually enough to name the offending `HashMap`
+//! iteration or unseeded RNG.
 //!
 //! The harness is deliberately two-layer:
 //! - [`check_determinism`] compares any two record streams — the generic
 //!   engine, used by the tests to prove the harness *fails* on injected
 //!   nondeterminism;
-//! - [`check_pipeline_determinism`] instantiates it on the real pipeline.
+//! - [`stream_invariance`] instantiates it on the real pipeline through
+//!   the shared invariance check, with or without a fault plan.
 
 use charisma_core::report::Report;
 use charisma_ipsc::FaultPlan;
@@ -20,6 +22,8 @@ use charisma_trace::postprocess::postprocess;
 use charisma_trace::OrderedEvent;
 use charisma_workload::shard::generate_sharded;
 use charisma_workload::{generate, GeneratorConfig};
+
+use crate::harness::{check_invariance, Cell, GateArgs, GateError, GateReport, Invariance};
 
 /// Where in the pipeline the record streams first disagreed.
 #[derive(Clone, Debug)]
@@ -84,8 +88,10 @@ fn hex(bytes: &[u8]) -> String {
 /// as they are consumed.
 pub fn check_determinism<A, B>(first: A, second: B) -> DeterminismReport
 where
-    A: IntoIterator<Item = Vec<u8>>,
-    B: IntoIterator<Item = Vec<u8>>,
+    A: IntoIterator,
+    A::Item: AsRef<[u8]>,
+    B: IntoIterator,
+    B::Item: AsRef<[u8]>,
 {
     let mut a = first.into_iter();
     let mut b = second.into_iter();
@@ -101,8 +107,8 @@ where
                 }
             }
             (ra, rb) => {
-                let da = ra.as_deref().unwrap_or_default();
-                let db = rb.as_deref().unwrap_or_default();
+                let da = ra.as_ref().map_or(&[][..], AsRef::as_ref);
+                let db = rb.as_ref().map_or(&[][..], AsRef::as_ref);
                 if da != db {
                     return DeterminismReport {
                         records_checked: index,
@@ -185,25 +191,16 @@ pub fn pipeline_record_stream(seed: u64, scale: f64) -> Vec<Vec<u8>> {
 }
 
 /// Every record the *sharded* pipeline emits for `seed` at `scale` on
-/// `workers` threads, encoded.
+/// `workers` threads under `faults`, encoded.
 ///
 /// Layers, in order: each shard's raw trace (header + blocks + events, in
 /// shard order), then the deterministically merged ordered stream, then the
 /// rendered analysis report. The workload is always partitioned into
 /// [`charisma_workload::shard::LOGICAL_SHARDS`] logical shards regardless
-/// of `workers`, so this stream must be byte-identical for every worker
-/// count — [`check_shard_equivalence`] is that claim as a check.
-pub fn sharded_record_stream(seed: u64, scale: f64, workers: usize) -> Vec<Vec<u8>> {
-    sharded_record_stream_with_faults(seed, scale, workers, FaultPlan::none())
-}
-
-/// [`sharded_record_stream`] under a fault-injection plan.
-///
-/// The chaos harness ([`crate::chaos`]) instantiates the same
-/// worker-count-invariance checks on a faulted run: fault decisions are
-/// pure hashes of stable identities, so the stream must stay
-/// byte-identical for every worker count even while faults fire.
-pub fn sharded_record_stream_with_faults(
+/// of `workers`, and fault decisions are pure hashes of stable identities,
+/// so this stream must be byte-identical for every worker count, even
+/// while faults fire — [`stream_invariance`] is that claim as a check.
+pub fn sharded_record_stream(
     seed: u64,
     scale: f64,
     workers: usize,
@@ -234,32 +231,95 @@ pub fn sharded_record_stream_with_faults(
     records
 }
 
-/// Run the pipeline twice with the same seed and diff the record streams.
-pub fn check_pipeline_determinism(seed: u64, scale: f64) -> DeterminismReport {
-    check_determinism(
-        pipeline_record_stream(seed, scale),
-        pipeline_record_stream(seed, scale),
-    )
+/// `None` for identical record streams, else the first divergent
+/// record, hex-dumped from both.
+pub fn diff_records(first: &[Vec<u8>], second: &[Vec<u8>]) -> Option<String> {
+    let report = check_determinism(first, second);
+    let d = report.divergence?;
+    let shown = |hex: &str| -> String {
+        if hex.is_empty() {
+            "<stream ended>".to_owned()
+        } else {
+            hex.chars().take(128).collect()
+        }
+    };
+    Some(format!(
+        "record {} differs ({} records agreed before it)\n    run 1: {}\n    run 2: {}",
+        d.index,
+        report.records_checked,
+        shown(&d.first),
+        shown(&d.second),
+    ))
 }
 
-/// Run the sharded pipeline twice on `workers` threads and diff the
-/// record streams — catches racy merge state or cross-thread ordering
-/// leaks that a single run can't see.
-pub fn check_sharded_determinism(seed: u64, scale: f64, workers: usize) -> DeterminismReport {
-    check_determinism(
-        sharded_record_stream(seed, scale, workers),
-        sharded_record_stream(seed, scale, workers),
-    )
+/// The streaming FNV-1a hash [`check_determinism`] reports for a stream
+/// that agrees with itself.
+pub fn stream_hash(records: &[Vec<u8>]) -> u64 {
+    let mut hash = FNV_OFFSET;
+    for record in records {
+        fnv1a(&mut hash, record);
+    }
+    hash
 }
 
-/// Diff the serial (1-worker) sharded run against a `workers`-thread run.
+/// The determinism row: the record stream of the serial run, the
+/// `shards`-worker run, and that run repeated, all byte-identical.
 ///
-/// This is the pipeline's central guarantee: worker count is an execution
-/// detail, not an input. Any divergence means the partition, the per-shard
-/// RNG derivation, or the merge depends on scheduling.
-pub fn check_shard_equivalence(seed: u64, scale: f64, workers: usize) -> DeterminismReport {
-    check_determinism(
-        sharded_record_stream(seed, scale, 1),
-        sharded_record_stream(seed, scale, workers),
+/// `shards == 0` means the unsharded generator
+/// ([`pipeline_record_stream`], which draws no faults), run twice; any
+/// other count runs [`sharded_record_stream`] under `faults`.
+/// Worker count is an execution detail, not an input: any divergence
+/// means the partition, the per-shard RNG derivation, or the merge
+/// depends on scheduling.
+pub fn stream_invariance(
+    seed: u64,
+    scale: f64,
+    shards: usize,
+    faults: &FaultPlan,
+) -> Invariance<Vec<Vec<u8>>> {
+    let cells = if shards == 0 {
+        Vec::new()
+    } else {
+        vec![Cell::workers(shards)]
+    };
+    let Ok(checked) = check_invariance::<_, std::convert::Infallible>(
+        "record stream",
+        &cells,
+        true,
+        |cell| {
+            Ok(if shards == 0 {
+                pipeline_record_stream(seed, scale)
+            } else {
+                sharded_record_stream(seed, scale, cell.workers, faults.clone())
+            })
+        },
+        |a, b| diff_records(a, b),
+    );
+    checked
+}
+
+/// The summary line for a [`stream_invariance`] at `shards` that found
+/// no divergence.
+pub fn stream_proof(label: &str, shards: usize, stream: &[Vec<u8>]) -> String {
+    let runs = match shards {
+        0 => "two unsharded runs".to_owned(),
+        1 => "two serial runs".to_owned(),
+        n => format!("serial, {n}-worker and repeated {n}-worker runs"),
+    };
+    format!(
+        "{label} deterministic across {runs}: {} records, stream hash {:#018x}",
+        stream.len(),
+        stream_hash(stream)
     )
+}
+
+/// `charisma-verify determinism`: [`stream_invariance`] at `--shards`.
+pub fn gate(args: &GateArgs) -> Result<GateReport, GateError> {
+    let checked = stream_invariance(args.seed, args.scale, args.count, &FaultPlan::none());
+    let mut report = GateReport::default();
+    report.record(
+        checked.complaints,
+        stream_proof("stream", args.count, &checked.baseline),
+    );
+    Ok(report)
 }

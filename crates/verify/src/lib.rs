@@ -15,22 +15,29 @@
 //!   [`consistency`] cross-artifact check; the walk is parallel with
 //!   deterministic, sorted findings, and `lint --json` emits them
 //!   machine-readably for CI annotation.
-//! - [`determinism`] — an end-to-end harness that runs the
-//!   workload→simulate→trace pipeline twice with the same seed and diffs a
-//!   streaming hash of the trace records, reporting the first divergent
-//!   record on failure.
+//! - [`harness`] — what every gate below is built from: one invariance
+//!   check (run a computation per `(workers, schedule)` cell, compare each
+//!   against the serial baseline, optionally repeat the widest cell), one
+//!   fixture check (diff rendered text against a committed fixture, or
+//!   rewrite it under `--write`), one gate pipeline run, and one tenant
+//!   partition.
+//! - [`determinism`] — the workload→simulate→trace record stream, raw and
+//!   postprocessed, must be byte-identical serially, at `N` workers, and
+//!   on a repeat; a divergence is localized to the first differing
+//!   record.
 //! - [`metrics`] — the metrics-snapshot gate: the observability layer's
 //!   deterministic core (counters/gauges/histograms) is diffed against a
 //!   checked-in fixture, and an `N`-worker run must merge to the same core
 //!   as the serial run.
-//! - [`chaos`] — the same repeatability and worker-count-invariance
-//!   checks, run *under the canonical fault-injection plan*, plus a
-//!   fault-metrics snapshot gate — the proof that the chaos layer is
+//! - [`chaos`] — the same stream invariance, run *under the canonical
+//!   fault-injection plan*, plus plan and fault-metrics fixtures and the
+//!   archive-fault replica drill — the proof that the chaos layer is
 //!   deterministic and the recovery machinery actually engages.
 //! - [`archive`] — the trace-archive gate: the columnar archive's bytes
 //!   are canonical (worker-count invariant and pinned by a hash fixture),
 //!   the archive round-trips the merged stream exactly, and zone-map
-//!   pruning skips segments without changing any query result.
+//!   pruning and predicate-first decode skip work without changing any
+//!   query result.
 //! - [`serve`] — the archive-service gate: every `(ingest workers,
 //!   interleave seed)` schedule publishes byte-identical per-tenant
 //!   catalogs, mid-ingest snapshots replay exactly their pinned prefix,
@@ -42,19 +49,16 @@
 //!   rebuilt byte-exactly from XOR parity, and a federated query over a
 //!   tiered, damaged tenant equals the healthy baseline.
 //!
-//! - [`bench`] — the perf-trajectory record: one run of the pinned
-//!   pipeline, wall-clock timed, rendered as the `BENCH_N.json` breadcrumb
-//!   the bench-smoke CI job leaves per PR.
-//!
-//! The binary
-//! (`charisma-verify lint|determinism|metrics|chaos|archive|serve|tier|bench`)
-//! is the gate CI and all future perf/scaling PRs run behind.
+//! Each gate exposes `gate(&GateArgs) -> Result<GateReport, GateError>`;
+//! the binary (`charisma-verify lint|determinism|metrics|chaos|archive|serve|tier`)
+//! is a table of them and the gate CI runs behind. Performance is measured
+//! by the standalone `perfbench` package, not here.
 
 pub mod archive;
-pub mod bench;
 pub mod chaos;
 pub mod consistency;
 pub mod determinism;
+pub mod harness;
 pub mod lex;
 pub mod lint;
 pub mod metrics;
@@ -67,19 +71,9 @@ pub mod tier;
 /// internal consistency check live.
 pub const INVARIANTS_ENABLED: bool = cfg!(feature = "invariants");
 
-pub use archive::{archive_fixture_line, check_archive_gate, ArchiveGateReport};
-pub use bench::{compare as compare_bench, run_bench, BenchComparison, BenchRecord};
-pub use chaos::{
-    archive_fault_plan, chaos_metrics_json, chaos_plan, check_archive_chaos,
-    check_chaos_determinism, check_chaos_shard_equivalence, check_fault_activity,
-    diff_archive_plan, diff_plan,
-};
+pub use chaos::{archive_fault_plan, chaos_metrics, check_archive_chaos, check_fault_activity};
 pub use consistency::{check_metric_consistency, fixture_metric_names, MetricReg};
-pub use determinism::{
-    check_pipeline_determinism, check_shard_equivalence, check_sharded_determinism, fnv1a_hash,
-    DeterminismReport, Divergence,
-};
+pub use determinism::{fnv1a_hash, stream_invariance, DeterminismReport, Divergence};
+pub use harness::{check_invariance, Cell, GateArgs, GateError, GateReport, Invariance};
 pub use lint::{findings_to_json, lint_workspace, Finding, LintConfig, Rule};
-pub use metrics::{check_metrics_shard_equivalence, core_metrics_json, diff_json, JsonDiff};
-pub use serve::{check_serve_gate, ServeGateReport};
-pub use tier::{check_tier_gate, TierGateReport};
+pub use metrics::core_metrics_json;

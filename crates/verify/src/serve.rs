@@ -8,108 +8,57 @@
 //! (the pipeline's merged stream, round-robin partitioned into tenant
 //! feeds):
 //!
-//! 1. **Schedule invariance** — every `(workers, interleave seed)` cell
-//!    of the matrix must publish byte-identical catalogs for all tenants.
+//! 1. **Schedule invariance** — through the shared invariance check,
+//!    every `(workers, interleave seed)` cell of the matrix must publish
+//!    byte-identical catalogs for all tenants.
 //! 2. **Snapshot isolation** — a snapshot taken after every submitted
 //!    batch must equal a serial replay of exactly the prefix it pinned,
 //!    and the post-flush snapshot must equal the tenant's full stream.
 //! 3. **Federated oracle** — a federated scan must equal the tenant-order
 //!    concatenation of serial per-tenant scans, stable-sorted by the
 //!    canonical `(time, node)` key, for all-pass and pruned queries
-//!    alike, at every fan-out width.
+//!    alike, at every fan-out width; the all-pass scan returns every row
+//!    the pipeline produced.
 //! 4. **Sink parity** — a pipeline run delivered through
 //!    `ArchiveSink::Serve` must publish the same bytes as the same run's
 //!    `ArchiveSink::Memory` container (the build/serve split cannot leak
 //!    into the format).
 
-use charisma::serve::{Service, ServiceConfig, TenantFeed};
+use std::sync::Arc;
+
+use charisma::serve::{Service, ServiceConfig, Snapshot};
 use charisma::store::Query;
-use charisma::trace::OrderedEvent;
 use charisma::{ArchiveSink, Pipeline, ServeSink};
+use charisma_ipsc::FaultPlan;
 
 use crate::determinism::fnv1a_hash;
+use crate::harness::{
+    check_invariance, diff_bytes, gate_run, middle_third, tenant_feeds, Cell, GateArgs, GateError,
+    GateReport,
+};
 
 /// Rows per submitted batch in the gate's feeds: deliberately off the
 /// segment size so sealing happens mid-batch.
 const GATE_BATCH_ROWS: usize = 700;
 
-/// Ingest worker counts the schedule-invariance matrix covers.
+/// Ingest worker counts the schedule-invariance matrix and the federated
+/// fan-out cover.
 const GATE_WORKERS: &[usize] = &[1, 2, 4];
 
 /// Interleave seeds the schedule-invariance matrix covers (on top of the
 /// seed-0 baseline).
 const GATE_INTERLEAVES: &[u64] = &[1, 2];
 
-/// What one serve-gate run observed.
-#[derive(Clone, Debug)]
-pub struct ServeGateReport {
-    /// Human-readable violations; empty means the gate passed.
-    pub complaints: Vec<String>,
-    /// Tenants the service hosted.
-    pub tenants: usize,
-    /// Total rows across all tenant feeds.
-    pub rows: u64,
-    /// FNV-1a hash of each tenant's published catalog bytes (baseline
-    /// schedule), for the log line.
-    pub catalog_hashes: Vec<u64>,
-}
+/// `charisma-verify serve`: the full serve gate at `--seed`/`--scale`
+/// with `--tenants` tenants.
+pub fn gate(args: &GateArgs) -> Result<GateReport, GateError> {
+    let (seed, scale, tenants) = (args.seed, args.scale, args.count.max(1));
 
-/// Round-robin partition of the merged stream into `tenants` feeds.
-/// Subsequences of a `(time, node)`-ordered stream stay ordered, so each
-/// feed is a valid archive input.
-fn partition(events: &[OrderedEvent], tenants: usize) -> Vec<Vec<OrderedEvent>> {
-    let mut streams = vec![Vec::new(); tenants.max(1)];
-    for (i, e) in events.iter().enumerate() {
-        streams[i % tenants.max(1)].push(*e);
-    }
-    streams
-}
-
-fn feeds_from(streams: &[Vec<OrderedEvent>]) -> Vec<TenantFeed> {
-    streams
-        .iter()
-        .enumerate()
-        .map(|(tenant, events)| TenantFeed {
-            tenant,
-            batches: events.chunks(GATE_BATCH_ROWS).map(<[_]>::to_vec).collect(),
-        })
-        .collect()
-}
-
-/// Ingest the feeds on one schedule and return each tenant's published
-/// catalog bytes.
-fn publish(
-    config: &ServiceConfig,
-    feeds: &[TenantFeed],
-    workers: usize,
-    interleave: u64,
-) -> Result<Vec<Vec<u8>>, charisma::Error> {
-    let service = Service::new(*config);
-    service.run_ingest(feeds, workers, interleave)?;
-    Ok(service
-        .snapshot_all()
-        .iter()
-        .map(charisma::serve::Snapshot::to_bytes)
-        .collect())
-}
-
-/// Run the full serve gate at `seed`/`scale` with `tenants` tenants.
-pub fn check_serve_gate(
-    seed: u64,
-    scale: f64,
-    tenants: usize,
-) -> Result<ServeGateReport, charisma::Error> {
-    let mut complaints = Vec::new();
-    let tenants = tenants.max(1);
-
-    // One pipeline run supplies the pinned workload.
-    let out = Pipeline::new()
-        .seed(seed)
-        .scale(scale)
-        .collect_events()
-        .run()?;
-    let streams = partition(&out.events, tenants);
-    let feeds = feeds_from(&streams);
+    // One pipeline run supplies the pinned workload and the memory-sink
+    // container the sink-parity check compares against.
+    let run = gate_run(seed, scale, 1, FaultPlan::none(), true)?;
+    let events = &run.out.events;
+    let feeds = tenant_feeds(events, tenants, GATE_BATCH_ROWS);
     let config = ServiceConfig {
         seed,
         scale,
@@ -119,32 +68,47 @@ pub fn check_serve_gate(
 
     // 1. Schedule invariance: the (workers × interleave) matrix must agree
     // with the serial seed-0 baseline, byte for byte, per tenant.
-    let baseline = publish(&config, &feeds, 1, 0)?;
-    for &workers in GATE_WORKERS {
-        for &interleave in GATE_INTERLEAVES {
-            let got = publish(&config, &feeds, workers, interleave)?;
-            for (tenant, (a, b)) in baseline.iter().zip(&got).enumerate() {
-                if a != b {
-                    complaints.push(format!(
-                        "tenant {tenant} catalog bytes under workers={workers} \
-                         interleave={interleave} differ from the serial baseline \
-                         ({} vs {} bytes, fnv1a {:#018x} vs {:#018x})",
-                        b.len(),
-                        a.len(),
-                        fnv1a_hash(b),
-                        fnv1a_hash(a),
-                    ));
-                }
-            }
-        }
-    }
+    let cells: Vec<Cell> = GATE_WORKERS
+        .iter()
+        .flat_map(|&workers| {
+            GATE_INTERLEAVES
+                .iter()
+                .map(move |&schedule| Cell { workers, schedule })
+        })
+        .collect();
+    let checked = check_invariance(
+        "tenant catalogs",
+        &cells,
+        false,
+        |cell| -> Result<Vec<Vec<u8>>, charisma::Error> {
+            let service = Service::new(config);
+            service.run_ingest(&feeds, cell.workers, cell.schedule)?;
+            Ok(service
+                .snapshot_all()
+                .iter()
+                .map(Snapshot::to_bytes)
+                .collect())
+        },
+        |a, b| {
+            let diffs: Vec<String> = a
+                .iter()
+                .zip(b)
+                .enumerate()
+                .filter_map(|(tenant, (a, b))| {
+                    diff_bytes(a, b).map(|d| format!("tenant {tenant} ({d})"))
+                })
+                .collect();
+            (!diffs.is_empty()).then(|| diffs.join("; "))
+        },
+    )?;
+    let mut complaints = checked.complaints;
 
     // 2. Snapshot isolation: after every submitted batch, the snapshot
     // must be a serial replay of exactly the prefix it pinned.
     let service = Service::new(config);
     let probe_tenant = tenants - 1;
-    let stream = &streams[probe_tenant];
-    for (batch_no, batch) in stream.chunks(GATE_BATCH_ROWS).enumerate() {
+    let stream = feeds[probe_tenant].batches.concat();
+    for (batch_no, batch) in feeds[probe_tenant].batches.iter().enumerate() {
         service.submit(probe_tenant, batch)?;
         let snap = service.snapshot(probe_tenant)?;
         let rows = usize::try_from(snap.rows()).unwrap_or(usize::MAX);
@@ -167,7 +131,7 @@ pub fn check_serve_gate(
     }
     service.flush(probe_tenant)?;
     let final_snap = service.snapshot(probe_tenant)?;
-    if final_snap.events()? != *stream {
+    if final_snap.events()? != stream {
         complaints.push(format!(
             "post-flush snapshot ({} rows) does not equal the tenant's full \
              {}-row stream",
@@ -179,7 +143,7 @@ pub fn check_serve_gate(
     // 3. Federated oracle: all-pass and pruned queries, every fan-out.
     let service = Service::new(config);
     service.run_ingest(&feeds, 2, 0)?;
-    let queries = [Query::all(), pruning_query(&out.events)];
+    let queries = [Query::all(), middle_third(events)];
     for query in queries {
         let mut want = Vec::new();
         for tenant in 0..tenants {
@@ -187,6 +151,13 @@ pub fn check_serve_gate(
             want.extend(snap.query(query.clone()).events()?);
         }
         want.sort_by_key(|e| (e.time, e.node)); // stable: ties keep tenant order
+        if query == Query::all() && want.len() != events.len() {
+            complaints.push(format!(
+                "the tenants' all-pass scans hold {} rows; the pipeline produced {}",
+                want.len(),
+                events.len()
+            ));
+        }
         for &workers in GATE_WORKERS {
             let got = service.federated(query.clone()).workers(workers).events()?;
             if got != want {
@@ -202,12 +173,7 @@ pub fn check_serve_gate(
 
     // 4. Sink parity: a serve-sink pipeline run publishes the same bytes
     // as the memory-sink container.
-    let mem = Pipeline::new()
-        .seed(seed)
-        .scale(scale)
-        .sink(ArchiveSink::Memory)
-        .run()?;
-    let sink_service = std::sync::Arc::new(Service::new(ServiceConfig {
+    let sink_service = Arc::new(Service::new(ServiceConfig {
         seed,
         scale,
         tenants: 1,
@@ -218,39 +184,36 @@ pub fn check_serve_gate(
         .scale(scale)
         .shards(2)
         .sink(ArchiveSink::Serve(ServeSink::new(
-            std::sync::Arc::clone(&sink_service),
+            Arc::clone(&sink_service),
             0,
         )))
         .run()?;
-    if served.archive != mem.archive {
+    if served.archive.as_deref() != Some(run.archive.as_slice()) {
         complaints.push(format!(
             "serve-sink pipeline bytes ({:?}) differ from the memory-sink \
-             container ({:?})",
+             container ({} bytes)",
             served.archive.as_ref().map(Vec::len),
-            mem.archive.as_ref().map(Vec::len),
+            run.archive.len(),
         ));
     }
 
-    Ok(ServeGateReport {
+    let hashes: Vec<String> = checked
+        .baseline
+        .iter()
+        .map(|b| format!("{:#018x}", fnv1a_hash(b)))
+        .collect();
+    let mut report = GateReport::default();
+    report.record(
         complaints,
-        tenants,
-        rows: out.events.len() as u64,
-        catalog_hashes: baseline.iter().map(|b| fnv1a_hash(b)).collect(),
-    })
-}
-
-/// A time-window query over the middle third of the trace: wide enough to
-/// match rows, narrow enough that zone maps prune segments.
-fn pruning_query(events: &[OrderedEvent]) -> Query {
-    let (t0, t1) = match (events.first(), events.last()) {
-        (Some(a), Some(b)) => (a.time.as_micros(), b.time.as_micros()),
-        _ => (0, 0),
-    };
-    let span = t1.saturating_sub(t0);
-    Query::all().time_window(
-        charisma::ipsc::SimTime::from_micros(t0 + span / 3),
-        charisma::ipsc::SimTime::from_micros(t0 + 2 * span / 3),
-    )
+        format!(
+            "serve gate passed: {} rows across {tenants} tenants, catalogs schedule-\
+             invariant, snapshots prefix-exact, federation matches the oracle\n  \
+             catalog fnv1a: {}",
+            events.len(),
+            hashes.join(" ")
+        ),
+    );
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -259,28 +222,12 @@ mod tests {
 
     #[test]
     fn serve_gate_passes_at_small_scale() {
-        let report = check_serve_gate(4994, 0.01, 3).expect("gate runs");
-        assert!(
-            report.complaints.is_empty(),
-            "first complaint: {}",
-            report.complaints[0]
-        );
-        assert_eq!(report.tenants, 3);
-        assert!(report.rows > 1000);
-        assert_eq!(report.catalog_hashes.len(), 3);
-    }
-
-    #[test]
-    fn partition_preserves_per_stream_order() {
-        let out = Pipeline::new()
-            .scale(0.01)
-            .collect_events()
-            .run()
-            .expect("runs");
-        for stream in partition(&out.events, 4) {
-            for w in stream.windows(2) {
-                assert!((w[0].time, w[0].node) <= (w[1].time, w[1].node));
-            }
-        }
+        let args = GateArgs {
+            scale: 0.01,
+            ..GateArgs::new("serve", 3)
+        };
+        let report = gate(&args).expect("gate runs");
+        assert!(report.complaints.is_empty(), "{:#?}", report.complaints);
+        assert!(report.summary[0].contains("across 3 tenants"), "{report:?}");
     }
 }

@@ -6,16 +6,16 @@
 //! claim into four checks over one pinned workload and one pinned skewed
 //! scan schedule:
 //!
-//! 1. **Worker invariance** — the schedule replayed with 1, 2, and 4
-//!    scan workers must produce identical ledgers, hence identical tier
-//!    assignments, replica placements, and parity layouts.
-//! 2. **Scan-order invariance** — the schedule replayed in reverse must
-//!    build the same ledger and classify identically: every ledger merge
-//!    is commutative, so the order scans commit in is an execution detail.
-//! 3. **Parity exactness** — for *every* cold segment, dropping its
+//! 1. **Worker and scan-order invariance** — through the shared
+//!    invariance check, the schedule replayed with 1, 2, and 4 scan
+//!    workers, and in reverse on 2, must produce identical ledgers, hence
+//!    identical tier assignments, replica placements, and parity layouts:
+//!    every ledger merge is commutative, so the order scans commit in is
+//!    an execution detail.
+//! 2. **Parity exactness** — for *every* cold segment, dropping its
 //!    single live copy must read back byte-identically through XOR
 //!    parity, and the healed set must scrub clean.
-//! 4. **Degraded federation** — a federated query over a tiered,
+//! 3. **Degraded federation** — a federated query over a tiered,
 //!    damaged tenant catalog (one hot replica down, one cold copy gone)
 //!    must return exactly the healthy baseline's rows, and the degraded
 //!    reader's bytes must still equal the tenant's canonical catalog.
@@ -23,16 +23,30 @@
 use std::collections::BTreeMap;
 
 use charisma::ipsc::SimTime;
-use charisma::serve::{Service, ServiceConfig, Snapshot, TenantFeed};
+use charisma::serve::{Service, ServiceConfig, Snapshot};
 use charisma::store::{Archive, Query, SegmentAccess, StoreMetrics};
 use charisma::tier::{Tier, TierPlan, TieredSet};
-use charisma::trace::OrderedEvent;
-use charisma::{ArchiveSink, Pipeline};
+use charisma_ipsc::FaultPlan;
 
 use crate::determinism::fnv1a_hash;
+use crate::harness::{
+    check_invariance, gate_run, tenant_feeds, Cell, GateArgs, GateError, GateReport, GateRun,
+};
 
-/// Scan worker counts the invariance matrix covers.
-const GATE_WORKERS: &[usize] = &[1, 2, 4];
+/// The invariance matrix: 2 and 4 scan workers, and the schedule
+/// replayed in reverse ([`REVERSED`]) on 2, against the serial forward
+/// replay.
+const GATE_CELLS: &[Cell] = &[
+    Cell::workers(2),
+    Cell::workers(4),
+    Cell {
+        workers: 2,
+        schedule: REVERSED,
+    },
+];
+
+/// The schedule value of a cell that replays the scans in reverse.
+const REVERSED: u64 = 1;
 
 /// One scheduled scan: a `(from_ppm, to_ppm, nodes)` window over the
 /// archive's own time span, optionally restricted to a node set.
@@ -49,28 +63,6 @@ const GATE_SCHEDULE: &[ScanWindow] = &[
     (0, 500_000, Some(&[1, 2, 3])),
     (200_000, 450_000, Some(&[2])),
 ];
-
-/// What one tier-gate run observed.
-#[derive(Clone, Debug)]
-pub struct TierGateReport {
-    /// Human-readable violations; empty means the gate passed.
-    pub complaints: Vec<String>,
-    /// Segments the baseline policy classified.
-    pub segments: u64,
-    /// Baseline hot / warm / cold census.
-    pub hot: u64,
-    /// Warm count.
-    pub warm: u64,
-    /// Cold count.
-    pub cold: u64,
-    /// Parity groups protecting the cold population.
-    pub parity_groups: u64,
-    /// Cold segments whose single-copy loss was rebuilt byte-exactly.
-    pub cold_losses_rebuilt: u64,
-    /// FNV-1a hash of the baseline `TierReport` encoding, for the log
-    /// line.
-    pub report_hash: u64,
-}
 
 /// Replay `schedule` against `archive` with `workers` scan threads
 /// (optionally in reverse order), feeding `metrics`, and return the
@@ -106,21 +98,6 @@ pub(crate) fn ledger_for(
     Ok(metrics.access.snapshot())
 }
 
-/// [`ledger_for`] over [`GATE_SCHEDULE`], on a fresh ledger.
-fn gate_ledger(
-    archive: &Archive,
-    workers: usize,
-    reversed: bool,
-) -> Result<BTreeMap<u64, SegmentAccess>, charisma::Error> {
-    ledger_for(
-        archive,
-        GATE_SCHEDULE,
-        workers,
-        reversed,
-        &StoreMetrics::default(),
-    )
-}
-
 /// Per-segment replica placements — the layout fingerprint the
 /// invariance check compares.
 fn placements(tiered: &TieredSet) -> Vec<Vec<u32>> {
@@ -130,78 +107,72 @@ fn placements(tiered: &TieredSet) -> Vec<Vec<u32>> {
         .collect()
 }
 
-/// Round-robin partition of the merged stream into `tenants` feeds.
-fn partition(events: &[OrderedEvent], tenants: usize) -> Vec<Vec<OrderedEvent>> {
-    let mut streams = vec![Vec::new(); tenants.max(1)];
-    for (i, e) in events.iter().enumerate() {
-        streams[i % tenants.max(1)].push(*e);
-    }
-    streams
+/// What one replay of the gate schedule tiered: its ledger and the set
+/// the default plan built from it.
+struct Layout {
+    ledger: BTreeMap<u64, SegmentAccess>,
+    tiered: TieredSet,
 }
 
-/// Run the full tier gate at `seed`/`scale`.
-pub fn check_tier_gate(seed: u64, scale: f64) -> Result<TierGateReport, charisma::Error> {
-    let mut complaints = Vec::new();
+/// Which parts of two layouts differ, if any.
+fn diff_layouts(a: &Layout, b: &Layout) -> Option<String> {
+    let mut differs = Vec::new();
+    if a.ledger != b.ledger {
+        differs.push("access ledger");
+    }
+    if a.tiered.report().encode() != b.tiered.report().encode() {
+        differs.push("tier report");
+    }
+    if placements(&a.tiered) != placements(&b.tiered) {
+        differs.push("replica placements");
+    }
+    (!differs.is_empty()).then(|| format!("{} differ", differs.join(", ")))
+}
+
+/// `charisma-verify tier`: the full tier gate at `--seed`/`--scale`.
+pub fn gate(args: &GateArgs) -> Result<GateReport, GateError> {
+    let (seed, scale) = (args.seed, args.scale);
     let plan = TierPlan::default();
 
     // One pipeline run supplies the pinned container.
-    let out = Pipeline::new()
-        .seed(seed)
-        .scale(scale)
-        .sink(ArchiveSink::Memory)
-        .collect_events()
-        .run()?;
-    let bytes = out.archive.clone().unwrap_or_default();
+    let GateRun {
+        archive: bytes,
+        out,
+    } = gate_run(seed, scale, 1, FaultPlan::none(), true)?;
     let archive = Archive::from_bytes(bytes.clone())?;
 
-    // 1. Worker invariance: same schedule, 1/2/4 scan workers — same
-    // ledger, same assignments, same placements, same parity layout.
-    let baseline_ledger = gate_ledger(&archive, 1, false)?;
-    let baseline = TieredSet::build(archive.reader(), &baseline_ledger, &plan);
-    let base_encoding = baseline.report().encode();
-    let base_placements = placements(&baseline);
-    for &workers in &GATE_WORKERS[1..] {
-        let ledger = gate_ledger(&archive, workers, false)?;
-        if ledger != baseline_ledger {
-            complaints.push(format!(
-                "access ledger under {workers} scan workers differs from the serial ledger"
-            ));
-        }
-        let tiered = TieredSet::build(archive.reader(), &ledger, &plan);
-        if tiered.report().encode() != base_encoding {
-            complaints.push(format!(
-                "tier report under {workers} scan workers differs from the serial report"
-            ));
-        }
-        if placements(&tiered) != base_placements {
-            complaints.push(format!(
-                "replica placements under {workers} scan workers differ from the serial layout"
-            ));
-        }
+    // 1. Worker and scan-order invariance: same schedule, any worker
+    // count, either order — same ledger, same assignments, same
+    // placements, same parity layout.
+    let checked = check_invariance(
+        "tier layout",
+        GATE_CELLS,
+        false,
+        |cell| {
+            let ledger = ledger_for(
+                &archive,
+                GATE_SCHEDULE,
+                cell.workers,
+                cell.schedule == REVERSED,
+                &StoreMetrics::default(),
+            )?;
+            let tiered = TieredSet::build(archive.reader(), &ledger, &plan);
+            Ok::<_, charisma::Error>(Layout { ledger, tiered })
+        },
+        diff_layouts,
+    )?;
+    let mut complaints = checked.complaints;
+    let baseline = checked.baseline.tiered;
+    let census = baseline.report();
+    if census.hot == 0 || census.cold == 0 {
+        complaints.push(format!(
+            "the pinned scan schedule must leave hot and cold segments for the drills \
+             below ({} hot / {} cold)",
+            census.hot, census.cold
+        ));
     }
 
-    // 2. Scan-order invariance: the reversed schedule must build the same
-    // ledger, hence classify and place identically.
-    let reversed_ledger = gate_ledger(&archive, 2, true)?;
-    if reversed_ledger != baseline_ledger {
-        complaints.push(
-            "access ledger from the reversed scan schedule differs from the forward one".into(),
-        );
-    }
-    let reversed = TieredSet::build(archive.reader(), &reversed_ledger, &plan);
-    if reversed.report().encode() != base_encoding {
-        complaints.push(
-            "tier report from the reversed scan schedule differs from the forward one".into(),
-        );
-    }
-    if placements(&reversed) != base_placements {
-        complaints.push(
-            "replica placements from the reversed scan schedule differ from the forward ones"
-                .into(),
-        );
-    }
-
-    // 3. Parity exactness: every single cold-segment loss must read back
+    // 2. Parity exactness: every single cold-segment loss must read back
     // byte-identically and heal scrub-clean.
     let cold_segments: Vec<usize> = baseline
         .assignments()
@@ -210,7 +181,6 @@ pub fn check_tier_gate(seed: u64, scale: f64) -> Result<TierGateReport, charisma
         .filter(|&(_, &t)| t == Tier::Cold)
         .map(|(s, _)| s)
         .collect();
-    let mut cold_losses_rebuilt = 0u64;
     for &s in &cold_segments {
         let mut damaged = baseline.clone();
         damaged.replica_set_mut().lose_replica(s, 0);
@@ -223,8 +193,6 @@ pub fn check_tier_gate(seed: u64, scale: f64) -> Result<TierGateReport, charisma
             complaints.push(format!(
                 "parity reconstruction of cold segment {s} diverged from the canonical bytes"
             ));
-        } else {
-            cold_losses_rebuilt += 1;
         }
         let heal = damaged.heal();
         if !heal.healthy() {
@@ -234,30 +202,27 @@ pub fn check_tier_gate(seed: u64, scale: f64) -> Result<TierGateReport, charisma
         }
     }
 
-    // 4. Degraded federation: a tiered, damaged tenant must federate
+    // 3. Degraded federation: a tiered, damaged tenant must federate
     // identically to the healthy baseline.
     let tenants = 2usize;
-    let streams = partition(&out.events, tenants);
-    let feeds: Vec<TenantFeed> = streams
-        .iter()
-        .enumerate()
-        .map(|(tenant, events)| TenantFeed {
-            tenant,
-            batches: events.chunks(700).map(<[_]>::to_vec).collect(),
-        })
-        .collect();
     let service = Service::new(ServiceConfig {
         seed,
         scale,
         tenants,
         ..ServiceConfig::default()
     });
-    service.run_ingest(&feeds, 2, 0)?;
+    service.run_ingest(&tenant_feeds(&out.events, tenants, 700), 2, 0)?;
 
     let probe_tenant = tenants - 1;
     let tenant_bytes = service.snapshot(probe_tenant)?.to_bytes();
     let tenant_archive = Archive::from_bytes(tenant_bytes.clone())?;
-    let tenant_ledger = gate_ledger(&tenant_archive, 2, false)?;
+    let tenant_ledger = ledger_for(
+        &tenant_archive,
+        GATE_SCHEDULE,
+        2,
+        false,
+        &StoreMetrics::default(),
+    )?;
     let mut tiered = TieredSet::build(tenant_archive.reader(), &tenant_ledger, &plan);
     let assignments = tiered.assignments().to_vec();
     if let Some(hot) = assignments.iter().position(|&t| t == Tier::Hot) {
@@ -287,17 +252,24 @@ pub fn check_tier_gate(seed: u64, scale: f64) -> Result<TierGateReport, charisma
         }
     }
 
-    let report = baseline.report();
-    Ok(TierGateReport {
+    let mut report = GateReport::default();
+    report.record(
         complaints,
-        segments: report.segments,
-        hot: report.hot,
-        warm: report.warm,
-        cold: report.cold,
-        parity_groups: report.parity_groups,
-        cold_losses_rebuilt,
-        report_hash: fnv1a_hash(base_encoding.as_bytes()),
-    })
+        format!(
+            "tier gate passed: {} segments ({} hot / {} warm / {} cold, {} parity \
+             group(s)), assignments worker- and order-invariant, {} cold loss(es) \
+             rebuilt byte-exactly, degraded federation ≡ healthy\n  \
+             tier report fnv1a: {:#018x}",
+            census.segments,
+            census.hot,
+            census.warm,
+            census.cold,
+            census.parity_groups,
+            cold_segments.len(),
+            fnv1a_hash(census.encode().as_bytes())
+        ),
+    );
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -306,17 +278,11 @@ mod tests {
 
     #[test]
     fn tier_gate_passes_at_small_scale() {
-        let report = check_tier_gate(4994, 0.01).expect("gate runs");
-        assert!(
-            report.complaints.is_empty(),
-            "first complaint: {}",
-            report.complaints[0]
-        );
-        assert!(report.segments > 0);
-        assert_eq!(report.hot + report.warm + report.cold, report.segments);
-        assert!(report.hot > 0, "the pinned schedule promotes the head");
-        assert!(report.cold > 0, "the pinned schedule leaves a cold tail");
-        assert!(report.parity_groups > 0);
-        assert_eq!(report.cold_losses_rebuilt, report.cold);
+        let args = GateArgs {
+            scale: 0.01,
+            ..GateArgs::new("tier", 0)
+        };
+        let report = gate(&args).expect("gate runs");
+        assert!(report.complaints.is_empty(), "{:#?}", report.complaints);
     }
 }

@@ -1,33 +1,20 @@
-//! The trace-archive gate as a test: the checked-in archive hash must
-//! match what the current code produces at the seed and scale CI uses,
-//! and the round-trip/pruning checks must hold.
+//! The trace-archive gate as a test, at the seed and scale CI uses: the
+//! checked-in archive hash must match what the current code produces,
+//! and the canonical-bytes, round-trip and pruning checks must hold.
 //!
 //! If this fails after an intentional format or encoding change,
 //! regenerate with `cargo run -p charisma-verify -- archive --write` and
 //! commit the fixture alongside the code — same review contract as the
 //! metrics snapshot.
 
-use charisma_verify::{archive_fixture_line, check_archive_gate};
-
-const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/archive_hash.txt");
-
-#[test]
-fn fixture_matches_current_code() {
-    let expected = std::fs::read_to_string(FIXTURE).expect("fixture readable");
-    let actual = archive_fixture_line(4994, 0.05).expect("pipeline runs");
-    assert_eq!(
-        expected, actual,
-        "archive hash fixture out of date — regenerate with: \
-         cargo run -p charisma-verify -- archive --write"
-    );
-}
+use charisma_verify::{archive, GateArgs};
 
 #[test]
 fn gate_holds_at_ci_scale() {
-    let report = check_archive_gate(4994, 0.05, 4).expect("pipeline runs");
+    let report = archive::gate(&GateArgs::new("archive", 4)).expect("pipeline runs");
     assert!(
         report.complaints.is_empty(),
-        "archive gate violations: {:?}",
+        "archive gate violations: {:#?}",
         report.complaints
     );
 }

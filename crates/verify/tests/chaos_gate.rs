@@ -7,39 +7,30 @@
 //! alongside the code.
 
 use charisma_ipsc::FaultPlan;
-use charisma_verify::determinism::{check_determinism, sharded_record_stream_with_faults};
+use charisma_verify::determinism::{check_determinism, sharded_record_stream};
 use charisma_verify::{
-    chaos_metrics_json, check_archive_chaos, check_fault_activity, diff_json, diff_plan,
+    archive_fault_plan, chaos_metrics, check_archive_chaos, check_fault_activity, GateArgs,
+    GateReport,
 };
 
-const FIXTURE: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/fixtures/metrics_snapshot_chaos.json"
-);
-const PLAN_FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/fault_plan_chaos.txt");
-
 #[test]
-fn plan_fixture_matches_builtin() {
-    let text = std::fs::read_to_string(PLAN_FIXTURE).expect("plan fixture readable");
-    let parsed = FaultPlan::parse(&text).expect("plan fixture parses");
-    assert_eq!(diff_plan(&parsed), None, "plan fixture drifted");
-}
-
-#[test]
-fn chaos_fixture_matches_current_code() {
-    let expected = std::fs::read_to_string(FIXTURE).expect("fixture readable");
-    let actual = chaos_metrics_json(4994, 0.05, 1).expect("chaos pipeline runs");
-    let diffs = diff_json(&expected, &actual);
+fn fixtures_match_current_code() {
+    let args = GateArgs::new("chaos", 1);
+    let metrics = chaos_metrics(args.seed, args.scale, 1).expect("chaos pipeline runs");
+    let mut report = GateReport::default();
+    for (file, rendered) in [
+        ("fault_plan_chaos.txt", FaultPlan::chaos_fixture().encode()),
+        ("fault_plan_archive.txt", archive_fault_plan().encode()),
+        ("metrics_snapshot_chaos.json", metrics.to_core_json()),
+    ] {
+        args.check_fixture(&mut report, file, &rendered)
+            .expect("fixture readable");
+    }
+    report.complaints.extend(check_fault_activity(&metrics));
     assert!(
-        diffs.is_empty(),
-        "chaos metrics fixture out of date: {} line(s) differ (first: {})\n\
-         regenerate with: cargo run -p charisma-verify -- chaos --write",
-        diffs.len(),
-        diffs[0]
-    );
-    assert!(
-        check_fault_activity(&actual).is_empty(),
-        "fault counters must show the chaos machinery engaged"
+        report.complaints.is_empty(),
+        "chaos fixtures out of date or fault counters idle: {:#?}",
+        report.complaints
     );
 }
 
@@ -53,8 +44,8 @@ fn empty_plan_is_byte_identical_to_no_plan() {
     zeroed.seed = 0xDEAD_BEEF;
     zeroed.retry.max_retries = 9;
     assert!(zeroed.is_empty(), "rates are what make a plan non-empty");
-    let with_zeroed_plan = sharded_record_stream_with_faults(4994, 0.01, 2, zeroed);
-    let plain = charisma_verify::determinism::sharded_record_stream(4994, 0.01, 2);
+    let with_zeroed_plan = sharded_record_stream(4994, 0.01, 2, zeroed);
+    let plain = sharded_record_stream(4994, 0.01, 2, FaultPlan::none());
     let report = check_determinism(with_zeroed_plan, plain);
     assert!(
         report.is_deterministic(),

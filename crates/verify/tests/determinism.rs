@@ -1,14 +1,17 @@
 //! The determinism harness must pass on the real pipeline and fail loudly
 //! on injected nondeterminism.
 
-use charisma_verify::determinism::{check_determinism, pipeline_record_stream};
-use charisma_verify::{check_pipeline_determinism, check_shard_equivalence};
+use charisma_ipsc::FaultPlan;
+use charisma_verify::determinism::{
+    check_determinism, diff_records, pipeline_record_stream, sharded_record_stream, stream_hash,
+};
+use charisma_verify::{check_invariance, stream_invariance, Cell};
 
 #[test]
 fn seed_pipeline_is_deterministic() {
-    let report = check_pipeline_determinism(4994, 0.02);
-    assert!(report.is_deterministic(), "{:?}", report.divergence);
-    assert!(report.records_checked > 1000, "suspiciously small trace");
+    let checked = stream_invariance(4994, 0.02, 0, &FaultPlan::none());
+    assert!(checked.complaints.is_empty(), "{:?}", checked.complaints);
+    assert!(checked.baseline.len() > 1000, "suspiciously small trace");
 }
 
 #[test]
@@ -59,10 +62,10 @@ fn stream_length_mismatch_is_a_divergence() {
 
 #[test]
 fn stream_hash_is_stable_across_runs() {
-    let a = check_pipeline_determinism(77, 0.02);
-    let b = check_pipeline_determinism(77, 0.02);
-    assert_eq!(a.stream_hash, b.stream_hash);
-    assert_eq!(a.records_checked, b.records_checked);
+    let a = pipeline_record_stream(77, 0.02);
+    let b = pipeline_record_stream(77, 0.02);
+    assert_eq!(stream_hash(&a), stream_hash(&b));
+    assert_eq!(stream_hash(&a), check_determinism(&a, &b).stream_hash);
 }
 
 /// The sharded pipeline's core guarantee: worker count is invisible in the
@@ -71,15 +74,22 @@ fn stream_hash_is_stable_across_runs() {
 /// byte-identical whether the shards run serially or on N threads.
 #[test]
 fn worker_count_does_not_change_any_layer() {
-    for workers in [2, 8] {
-        let report = check_shard_equivalence(4994, 0.02, workers);
-        assert!(
-            report.is_deterministic(),
-            "serial vs {workers} workers diverged: {:?}",
-            report.divergence
-        );
-        assert!(report.records_checked > 1000, "suspiciously small trace");
-    }
+    let Ok(checked) = check_invariance::<_, std::convert::Infallible>(
+        "sharded stream",
+        &[Cell::workers(2), Cell::workers(8)],
+        false,
+        |cell| {
+            Ok(sharded_record_stream(
+                4994,
+                0.02,
+                cell.workers,
+                FaultPlan::none(),
+            ))
+        },
+        |a, b| diff_records(a, b),
+    );
+    assert!(checked.complaints.is_empty(), "{:?}", checked.complaints);
+    assert!(checked.baseline.len() > 1000, "suspiciously small trace");
 }
 
 /// The analysis report is part of the hashed stream, so nondeterministic
@@ -87,10 +97,9 @@ fn worker_count_does_not_change_any_layer() {
 /// still diverge — including in that final report record.
 #[test]
 fn sharded_streams_differ_across_seeds() {
-    use charisma_verify::determinism::sharded_record_stream;
     let report = check_determinism(
-        sharded_record_stream(1, 0.02, 2),
-        sharded_record_stream(2, 0.02, 2),
+        sharded_record_stream(1, 0.02, 2, FaultPlan::none()),
+        sharded_record_stream(2, 0.02, 2, FaultPlan::none()),
     );
     assert!(!report.is_deterministic());
 }

@@ -1,38 +1,20 @@
 //! The metrics-snapshot gate as a test: the checked-in fixture must match
-//! what the current code produces, at the same seed and scale CI uses.
+//! what the current code produces, at the same seed and scale CI uses,
+//! and a 4-worker run must merge to the serial core.
 //!
 //! If this fails after an intentional metrics change, regenerate with
 //! `cargo run -p charisma-verify -- metrics --write` and commit the
 //! fixture alongside the code — that is the review contract recorded in
 //! ROADMAP.md.
 
-use charisma_verify::{check_metrics_shard_equivalence, core_metrics_json, diff_json};
-
-const FIXTURE: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/fixtures/metrics_snapshot.json"
-);
+use charisma_verify::{metrics, GateArgs};
 
 #[test]
-fn fixture_matches_current_code() {
-    let expected = std::fs::read_to_string(FIXTURE).expect("fixture readable");
-    let actual = core_metrics_json(4994, 0.05, 1).expect("pipeline runs");
-    let diffs = diff_json(&expected, &actual);
+fn fixture_matches_and_sharded_metrics_merge_to_serial_values() {
+    let report = metrics::gate(&GateArgs::new("metrics", 4)).expect("pipeline runs");
     assert!(
-        diffs.is_empty(),
-        "metrics fixture out of date: {} line(s) differ (first: {})\n\
-         regenerate with: cargo run -p charisma-verify -- metrics --write",
-        diffs.len(),
-        diffs[0]
-    );
-}
-
-#[test]
-fn sharded_metrics_merge_to_serial_values() {
-    let diffs = check_metrics_shard_equivalence(4994, 0.02, 4).expect("pipeline runs");
-    assert!(
-        diffs.is_empty(),
-        "worker count leaked into the metrics core (first: {})",
-        diffs[0]
+        report.complaints.is_empty(),
+        "metrics gate violations: {:#?}",
+        report.complaints
     );
 }

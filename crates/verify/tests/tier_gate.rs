@@ -5,22 +5,19 @@
 //! scrub-clean, and a federated query over the tiered, damaged tenant
 //! must equal the healthy baseline.
 
-use charisma_verify::check_tier_gate;
+use charisma_verify::{tier, GateArgs};
 
 #[test]
 fn gate_holds_at_ci_scale() {
-    let report = check_tier_gate(4994, 0.05).expect("pipeline runs");
+    let report = tier::gate(&GateArgs::new("tier", 0)).expect("pipeline runs");
     assert!(
         report.complaints.is_empty(),
-        "tier gate violations: {:?}",
+        "tier gate violations: {:#?}",
         report.complaints
     );
-    assert!(report.segments > 0);
-    assert_eq!(report.hot + report.warm + report.cold, report.segments);
+    // The pinned skewed schedule splits the catalog three ways.
     assert!(
-        report.hot > 0 && report.cold > 0,
-        "the pinned skewed schedule must split the catalog: {report:?}"
+        report.summary[0].contains("95 segments (1 hot / 20 warm / 74 cold"),
+        "{report:?}"
     );
-    assert!(report.parity_groups > 0);
-    assert_eq!(report.cold_losses_rebuilt, report.cold);
 }
