@@ -9,7 +9,7 @@
 //! All caches share the [`BlockCache`] interface: `access` returns whether
 //! the block was resident (a hit) and makes it resident, evicting if full.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Identity of a cached block: the file's path id and the block index.
 pub type BlockKey = (u32, u64);
@@ -40,15 +40,142 @@ pub trait BlockCache {
 }
 
 // ---------------------------------------------------------------------------
+// Block index
+// ---------------------------------------------------------------------------
+
+/// An open-addressed map from [`BlockKey`] to a small payload: the
+/// residency index under every policy.
+///
+/// Linear probing over a power-of-two table that is never more than half
+/// full, so a lookup inspects a short run of adjacent slots and always
+/// ends at an empty one. The hash is a fixed multiplicative (Fibonacci)
+/// hash with no per-process seed, and the index has no iteration API:
+/// nothing can observe slot order, so no result depends on it. Removal
+/// shifts the rest of the probe run back into the hole instead of
+/// leaving a tombstone, so constant eviction churn never slows lookups.
+#[derive(Debug)]
+struct BlockIndex<V> {
+    slots: Vec<Option<(BlockKey, V)>>,
+    /// `64 - log2(slots.len())`: the hash's top bits pick the home slot.
+    shift: u32,
+    len: usize,
+}
+
+/// The table size an index starts at; it doubles as entries arrive.
+const INDEX_MIN_SLOTS: usize = 16;
+
+impl<V: Copy> BlockIndex<V> {
+    fn new() -> Self {
+        Self::with_slots(INDEX_MIN_SLOTS)
+    }
+
+    fn with_slots(slots: usize) -> Self {
+        BlockIndex {
+            slots: vec![None; slots],
+            shift: 64 - slots.trailing_zeros(),
+            len: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn mask(&self) -> usize {
+        self.slots.len() - 1
+    }
+
+    fn home(&self, key: BlockKey) -> usize {
+        let x = key.1 ^ (u64::from(key.0) << 32);
+        (x.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// `Ok(slot)` holding `key`, or `Err(slot)`: the empty slot that ends
+    /// its probe run, where it would be inserted.
+    fn find(&self, key: BlockKey) -> Result<usize, usize> {
+        let mask = self.mask();
+        let mut i = self.home(key);
+        loop {
+            match self.slots[i] {
+                None => return Err(i),
+                Some((k, _)) if k == key => return Ok(i),
+                Some(_) => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    fn get(&self, key: BlockKey) -> Option<V> {
+        let i = self.find(key).ok()?;
+        self.slots[i].map(|(_, v)| v)
+    }
+
+    fn contains_key(&self, key: BlockKey) -> bool {
+        self.find(key).is_ok()
+    }
+
+    /// Map `key` to `value`, replacing any previous value.
+    fn insert(&mut self, key: BlockKey, value: V) {
+        match self.find(key) {
+            Ok(i) => self.slots[i] = Some((key, value)),
+            Err(_) if (self.len + 1) * 2 > self.slots.len() => {
+                self.grow();
+                self.insert(key, value);
+            }
+            Err(i) => {
+                self.slots[i] = Some((key, value));
+                self.len += 1;
+            }
+        }
+    }
+
+    fn grow(&mut self) {
+        let old = std::mem::replace(self, Self::with_slots(self.slots.len() * 2));
+        for (key, value) in old.slots.into_iter().flatten() {
+            if let Err(i) = self.find(key) {
+                self.slots[i] = Some((key, value));
+                self.len += 1;
+            }
+        }
+    }
+
+    /// Remove `key`, returning its value (backward-shift deletion).
+    fn remove(&mut self, key: BlockKey) -> Option<V> {
+        let mut hole = self.find(key).ok()?;
+        let (_, value) = self.slots[hole].take()?;
+        self.len -= 1;
+        let mask = self.mask();
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let Some((k, _)) = self.slots[j] else {
+                return Some(value);
+            };
+            // The entry at `j` may fill the hole only if the hole lies on
+            // its probe path, i.e. cyclically within [home, j).
+            let home = self.home(k);
+            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
+                self.slots[hole] = self.slots[j].take();
+                hole = j;
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // LRU
 // ---------------------------------------------------------------------------
 
-/// Least-recently-used cache: O(1) via an intrusive doubly-linked list over
-/// a slab, the classic implementation.
+/// Least-recently-used cache: O(1) expected per operation, via an
+/// intrusive doubly-linked list over a slab (the classic implementation)
+/// indexed by an open-addressed [`BlockKey`] table.
 #[derive(Debug)]
 pub struct LruCache {
     capacity: usize,
-    map: BTreeMap<BlockKey, usize>,
+    map: BlockIndex<usize>,
     slab: Vec<LruEntry>,
     head: usize, // most recent
     tail: usize, // least recent
@@ -69,7 +196,7 @@ impl LruCache {
     pub fn new(capacity: usize) -> Self {
         LruCache {
             capacity,
-            map: BTreeMap::new(),
+            map: BlockIndex::new(),
             slab: Vec::with_capacity(capacity.min(1 << 20)),
             head: NIL,
             tail: NIL,
@@ -114,7 +241,7 @@ impl BlockCache for LruCache {
         if self.capacity == 0 {
             return false;
         }
-        if let Some(&i) = self.map.get(&key) {
+        if let Some(i) = self.map.get(key) {
             self.unlink(i);
             self.push_front(i);
             return true;
@@ -122,7 +249,7 @@ impl BlockCache for LruCache {
         if self.map.len() >= self.capacity {
             let victim = self.tail;
             self.unlink(victim);
-            self.map.remove(&self.slab[victim].key);
+            self.map.remove(self.slab[victim].key);
             self.free.push(victim);
         }
         let i = self.free.pop().unwrap_or_else(|| {
@@ -154,7 +281,7 @@ impl BlockCache for LruCache {
     }
 
     fn contains(&self, key: BlockKey) -> bool {
-        self.map.contains_key(&key)
+        self.map.contains_key(key)
     }
 
     fn len(&self) -> usize {
@@ -166,7 +293,7 @@ impl BlockCache for LruCache {
     }
 
     fn invalidate(&mut self, key: BlockKey) {
-        if let Some(i) = self.map.remove(&key) {
+        if let Some(i) = self.map.remove(key) {
             self.unlink(i);
             self.free.push(i);
         }
@@ -183,7 +310,7 @@ impl BlockCache for LruCache {
 #[derive(Debug)]
 pub struct FifoCache {
     capacity: usize,
-    map: BTreeMap<BlockKey, u64>,
+    map: BlockIndex<u64>,
     queue: VecDeque<(BlockKey, u64)>,
     stamp: u64,
 }
@@ -193,7 +320,7 @@ impl FifoCache {
     pub fn new(capacity: usize) -> Self {
         FifoCache {
             capacity,
-            map: BTreeMap::new(),
+            map: BlockIndex::new(),
             queue: VecDeque::with_capacity(capacity.min(1 << 20)),
             stamp: 0,
         }
@@ -205,7 +332,7 @@ impl BlockCache for FifoCache {
         if self.capacity == 0 {
             return false;
         }
-        if self.map.contains_key(&key) {
+        if self.map.contains_key(key) {
             return true;
         }
         while self.map.len() >= self.capacity {
@@ -214,8 +341,8 @@ impl BlockCache for FifoCache {
             let Some((victim, stamp)) = self.queue.pop_front() else {
                 break; // unreachable: the queue always covers the map
             };
-            if self.map.get(&victim) == Some(&stamp) {
-                self.map.remove(&victim);
+            if self.map.get(victim) == Some(stamp) {
+                self.map.remove(victim);
             }
         }
         self.stamp += 1;
@@ -235,7 +362,7 @@ impl BlockCache for FifoCache {
     }
 
     fn contains(&self, key: BlockKey) -> bool {
-        self.map.contains_key(&key)
+        self.map.contains_key(key)
     }
 
     fn len(&self) -> usize {
@@ -247,7 +374,7 @@ impl BlockCache for FifoCache {
     }
 
     fn invalidate(&mut self, key: BlockKey) {
-        self.map.remove(&key);
+        self.map.remove(key);
     }
 }
 
@@ -268,7 +395,7 @@ impl BlockCache for FifoCache {
 #[derive(Debug)]
 pub struct IplCache {
     lru: LruCache,
-    coverage: BTreeMap<BlockKey, u64>,
+    coverage: BlockIndex<u64>,
     exhausted: Vec<BlockKey>,
     block_bytes: u64,
 }
@@ -278,7 +405,7 @@ impl IplCache {
     pub fn new(capacity: usize, block_bytes: u64) -> Self {
         IplCache {
             lru: LruCache::new(capacity),
-            coverage: BTreeMap::new(),
+            coverage: BlockIndex::new(),
             exhausted: Vec::new(),
             block_bytes,
         }
@@ -297,7 +424,7 @@ impl BlockCache for IplCache {
             while let Some(victim) = self.exhausted.pop() {
                 if victim != key && self.lru.contains(victim) {
                     self.lru.invalidate(victim);
-                    self.coverage.remove(&victim);
+                    self.coverage.remove(victim);
                     evicted = true;
                     break;
                 }
@@ -306,19 +433,20 @@ impl BlockCache for IplCache {
                 // LruCache::access below will evict its LRU victim; drop
                 // our coverage record for it so the map cannot leak.
                 if let Some(victim) = self.lru.lru_key() {
-                    self.coverage.remove(&victim);
+                    self.coverage.remove(victim);
                 }
             }
         }
         self.lru.access(key, touched_bytes);
-        let cov = self.coverage.entry(key).or_insert(0);
-        if !hit {
-            // Fresh fetch restarts coverage accounting.
-            *cov = 0;
-        }
-        let before = *cov;
-        *cov += u64::from(touched_bytes);
-        if before < self.block_bytes && *cov >= self.block_bytes {
+        // A fresh fetch restarts coverage accounting.
+        let before = if hit {
+            self.coverage.get(key).unwrap_or(0)
+        } else {
+            0
+        };
+        let cov = before + u64::from(touched_bytes);
+        self.coverage.insert(key, cov);
+        if before < self.block_bytes && cov >= self.block_bytes {
             // Push only on the crossing so a hot block cannot flood the
             // exhausted list with duplicates.
             self.exhausted.push(key);
@@ -340,7 +468,7 @@ impl BlockCache for IplCache {
 
     fn invalidate(&mut self, key: BlockKey) {
         self.lru.invalidate(key);
-        self.coverage.remove(&key);
+        self.coverage.remove(key);
     }
 }
 

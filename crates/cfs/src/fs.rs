@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 
 use charisma_ipsc::{Duration, Machine, SimTime};
-use charisma_obs::{Counter, Histogram, MetricsRegistry};
+use charisma_obs::{Counter, Histogram, LocalHistogram, MetricsRegistry};
 
 use crate::cache::{BlockCache, LruCache};
 use crate::disk::{DiskModel, DiskState};
@@ -141,8 +141,9 @@ pub struct CfsStats {
 }
 
 /// Metric handles a [`Cfs`] reports through once attached with
-/// [`Cfs::attach_metrics`]. Everything here is simulated-time data —
-/// deterministic for a fixed seed.
+/// [`Cfs::attach_metrics`]; counts reach them when [`Cfs::flush_metrics`]
+/// is called. Everything here is simulated-time data — deterministic for
+/// a fixed seed.
 #[derive(Clone, Debug, Default)]
 pub struct CfsMetrics {
     /// Requests by I/O mode, indexed by [`IoMode::code`].
@@ -176,6 +177,19 @@ impl CfsMetrics {
             disk_service_us: registry.histogram("cfs.disk_service_us"),
         }
     }
+}
+
+/// Counts a [`Cfs`] has not yet published to its [`CfsMetrics`]: one
+/// field per handle, updated with plain integer arithmetic.
+#[derive(Debug, Default)]
+struct CfsTally {
+    mode_requests: [u64; 4],
+    reads: u64,
+    writes: u64,
+    cache_hits: u64,
+    cache_misses: u64,
+    stripe_fanout: LocalHistogram,
+    disk_service_us: LocalHistogram,
 }
 
 #[derive(Clone, Debug)]
@@ -220,6 +234,7 @@ pub struct Cfs {
     used_bytes: u64,
     stats: CfsStats,
     metrics: Option<CfsMetrics>,
+    tally: CfsTally,
     faults: Option<CfsFaults>,
 }
 
@@ -243,14 +258,35 @@ impl Cfs {
             used_bytes: 0,
             stats: CfsStats::default(),
             metrics: None,
+            tally: CfsTally::default(),
             faults: None,
         }
     }
 
     /// Report request, cache, stripe, and disk activity through `metrics`
-    /// from now on.
+    /// from now on. The file system tallies this activity in plain
+    /// integers and publishes it only when [`Cfs::flush_metrics`] is
+    /// called; until then the handles do not see it.
     pub fn attach_metrics(&mut self, metrics: CfsMetrics) {
         self.metrics = Some(metrics);
+        self.tally = CfsTally::default();
+    }
+
+    /// Publish the activity tallied since the last flush to the attached
+    /// metrics, then reset the tally (a no-op when none are attached).
+    pub fn flush_metrics(&mut self) {
+        let mut tally = std::mem::take(&mut self.tally);
+        if let Some(m) = &self.metrics {
+            for (counter, &n) in m.mode_requests.iter().zip(&tally.mode_requests) {
+                counter.add(n);
+            }
+            m.reads.add(tally.reads);
+            m.writes.add(tally.writes);
+            m.cache_hits.add(tally.cache_hits);
+            m.cache_misses.add(tally.cache_misses);
+            tally.stripe_fanout.flush_into(&m.stripe_fanout);
+            tally.disk_service_us.flush_into(&m.disk_service_us);
+        }
     }
 
     /// Inject disk transients, service degradation, I/O-node failures,
@@ -453,10 +489,8 @@ impl Cfs {
             self.access_blocks(machine, node, file, offset, u64::from(actual), now, false)?;
         self.stats.reads += 1;
         self.stats.bytes_read += u64::from(actual);
-        if let Some(m) = &self.metrics {
-            m.reads.inc();
-            m.mode_requests[usize::from(mode.code())].inc();
-        }
+        self.tally.reads += 1;
+        self.tally.mode_requests[usize::from(mode.code())] += 1;
         Ok(IoOutcome {
             offset,
             bytes: actual,
@@ -491,10 +525,8 @@ impl Cfs {
             self.access_blocks(machine, node, file, offset, u64::from(bytes), now, true)?;
         self.stats.writes += 1;
         self.stats.bytes_written += u64::from(bytes);
-        if let Some(m) = &self.metrics {
-            m.writes.inc();
-            m.mode_requests[usize::from(mode.code())].inc();
-        }
+        self.tally.writes += 1;
+        self.tally.mode_requests[usize::from(mode.code())] += 1;
         Ok(IoOutcome {
             offset,
             bytes,
@@ -707,10 +739,9 @@ impl Cfs {
         now: SimTime,
         is_write: bool,
     ) -> Result<(SimTime, u64, u64, u64), CfsError> {
-        let metrics = self.metrics.clone();
-        let faults = self.faults.clone();
+        let faults = self.faults.as_ref();
         let now_us = now.as_micros();
-        let degrade_ppm = faults.as_ref().map_or(0, |f| f.degrade_ppm());
+        let degrade_ppm = faults.map_or(0, |f| f.degrade_ppm());
         let cache_op = Duration::from_micros(self.config.cache_op_us);
         let mut completion = now;
         let mut messages = 0u64;
@@ -722,7 +753,7 @@ impl Cfs {
             // Stripe failover: a down I/O node's whole block group is
             // redirected to the next live node (cache and disk included).
             let mut serve_io = io;
-            if let Some(f) = &faults {
+            if let Some(f) = faults {
                 if f.io_down(io, now_us) {
                     match f.next_live(io, io_count, now_us) {
                         Some(alt) => serve_io = alt,
@@ -744,7 +775,7 @@ impl Cfs {
                     // node.
                     io_done = now + machine.io_message_latency(node as usize, serve_io, 64);
                     messages += 1;
-                    if let Some(f) = &faults {
+                    if let Some(f) = faults {
                         if serve_io != io {
                             f.note_degraded();
                         }
@@ -775,16 +806,15 @@ impl Cfs {
                             true,
                             degrade_ppm,
                         );
-                        if let Some(m) = &metrics {
-                            m.disk_service_us
-                                .record(self.disks[serve_io].busy_us - busy_before);
-                        }
+                        self.tally
+                            .disk_service_us
+                            .record(self.disks[serve_io].busy_us - busy_before);
                     } else {
                         // A flaky block read retries with backoff; past
                         // the budget it is read around from the next
                         // live node.
                         let mut disk_io = serve_io;
-                        if let Some(f) = &faults {
+                        if let Some(f) = faults {
                             if let Some(fails) = f.transient_failures(serve_io as u64, file, b) {
                                 let budget = u64::from(f.retry().max_retries);
                                 for attempt in 0..fails.min(budget) {
@@ -819,10 +849,9 @@ impl Cfs {
                             false,
                             degrade_ppm,
                         );
-                        if let Some(m) = &metrics {
-                            m.disk_service_us
-                                .record(self.disks[disk_io].busy_us - busy_before);
-                        }
+                        self.tally
+                            .disk_service_us
+                            .record(self.disks[disk_io].busy_us - busy_before);
                     }
                 }
             }
@@ -836,14 +865,12 @@ impl Cfs {
             }
         }
         self.stats.messages += messages;
-        if let Some(m) = &metrics {
-            m.cache_hits.add(hits);
-            m.cache_misses.add(blocks - hits);
-            m.stripe_fanout.record(fanout);
-        }
+        self.tally.cache_hits += hits;
+        self.tally.cache_misses += blocks - hits;
+        self.tally.stripe_fanout.record(fanout);
         // Per-request timeout: a request that exceeds the budget pays one
         // extra client-side backoff (the caller's reissue) and is counted.
-        if let Some(f) = &faults {
+        if let Some(f) = faults {
             let timeout = f.retry().timeout_us;
             if timeout > 0 && completion.since(now).as_micros() > timeout {
                 f.note_timeout();
@@ -872,18 +899,14 @@ impl Cfs {
     pub(crate) fn note_read(&mut self, bytes: u64) {
         self.stats.reads += 1;
         self.stats.bytes_read += bytes;
-        if let Some(m) = &self.metrics {
-            m.reads.inc();
-        }
+        self.tally.reads += 1;
     }
 
     /// Account an extension-interface write in the aggregate stats.
     pub(crate) fn note_write(&mut self, bytes: u64) {
         self.stats.writes += 1;
         self.stats.bytes_written += bytes;
-        if let Some(m) = &self.metrics {
-            m.writes.inc();
-        }
+        self.tally.writes += 1;
     }
 }
 
@@ -1333,6 +1356,7 @@ mod tests {
         fs.write(&m, o.session, 0, 8192, t0()).unwrap();
         fs.seek(o.session, 0, 0).unwrap();
         fs.read(&m, o.session, 0, 8192, t0()).unwrap();
+        fs.flush_metrics();
         let snap = registry.snapshot();
         assert_eq!(snap.counters["cfs.read_requests"], 1);
         assert_eq!(snap.counters["cfs.write_requests"], 1);

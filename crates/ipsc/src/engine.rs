@@ -37,12 +37,21 @@ impl QueueMetrics {
     }
 }
 
+/// Counts an [`EventQueue`] has not yet published to its [`QueueMetrics`].
+#[derive(Debug, Default)]
+struct QueueTally {
+    pushed: u64,
+    dispatched: u64,
+    depth_high_water: u64,
+}
+
 /// A time-ordered event queue with stable FIFO tie-breaking.
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     seq: u64,
     metrics: Option<QueueMetrics>,
+    tally: QueueTally,
     #[cfg(feature = "invariants")]
     last_popped: Option<SimTime>,
 }
@@ -91,16 +100,30 @@ impl<E> EventQueue<E> {
             heap: BinaryHeap::with_capacity(capacity),
             seq: 0,
             metrics: None,
+            tally: QueueTally::default(),
             #[cfg(feature = "invariants")]
             last_popped: None,
         }
     }
 
     /// Report push/dispatch counts and the depth high-water mark through
-    /// `metrics` from now on. Un-attached queues pay only an `Option`
-    /// check per operation.
+    /// `metrics` from now on. The queue tallies them in plain integers and
+    /// publishes them only when [`EventQueue::flush_metrics`] is called;
+    /// until then the handles do not see this queue's activity.
     pub fn attach_metrics(&mut self, metrics: QueueMetrics) {
         self.metrics = Some(metrics);
+        self.tally = QueueTally::default();
+    }
+
+    /// Publish the counts tallied since the last flush to the attached
+    /// metrics, then reset the tally (a no-op when none are attached).
+    pub fn flush_metrics(&mut self) {
+        let tally = std::mem::take(&mut self.tally);
+        if let Some(m) = &self.metrics {
+            m.pushed.add(tally.pushed);
+            m.dispatched.add(tally.dispatched);
+            m.depth_high_water.record_max(tally.depth_high_water);
+        }
     }
 
     /// Schedule `event` at time `at`.
@@ -111,19 +134,15 @@ impl<E> EventQueue<E> {
             key: Reverse((at, seq)),
             event,
         });
-        if let Some(m) = &self.metrics {
-            m.pushed.inc();
-            m.depth_high_water.record_max(self.heap.len() as u64);
-        }
+        self.tally.pushed += 1;
+        self.tally.depth_high_water = self.tally.depth_high_water.max(self.heap.len() as u64);
     }
 
     /// Remove and return the earliest event, with its time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let e = self.heap.pop()?;
         let at = (e.key.0).0;
-        if let Some(m) = &self.metrics {
-            m.dispatched.inc();
-        }
+        self.tally.dispatched += 1;
         #[cfg(feature = "invariants")]
         {
             crate::invariant!(
@@ -211,6 +230,7 @@ mod tests {
         q.push(SimTime::from_secs(3), 'c');
         q.pop();
         q.pop();
+        q.flush_metrics();
         let snap = registry.snapshot();
         assert_eq!(snap.counters["engine.events_pushed"], 3);
         assert_eq!(snap.counters["engine.events_dispatched"], 2);

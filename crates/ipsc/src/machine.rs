@@ -6,7 +6,9 @@
 //! the host computer. The total I/O capacity is 7.6 GB and the total
 //! bandwidth is less than 10 MB/s." (paper §3)
 
-use charisma_obs::{Counter, Gauge, Histogram, MetricsRegistry};
+use std::cell::RefCell;
+
+use charisma_obs::{Counter, Gauge, Histogram, LocalHistogram, MetricsRegistry};
 use rand::Rng;
 
 use crate::alloc::SubcubeAllocator;
@@ -82,7 +84,8 @@ impl MachineConfig {
 
 /// Metric handles a [`Machine`] reports through once attached with
 /// [`Machine::attach_metrics`]. Message/packet counts accumulate as the
-/// network model is consulted; clock extremes are recorded at attach time
+/// network model is consulted and are published by
+/// [`Machine::flush_metrics`]; clock extremes are recorded at attach time
 /// (the clocks are fixed at boot).
 #[derive(Clone, Debug, Default)]
 pub struct MachineMetrics {
@@ -111,8 +114,20 @@ impl MachineMetrics {
     }
 }
 
+/// Message counts a [`Machine`] has not yet published to its
+/// [`MachineMetrics`].
+#[derive(Debug, Default)]
+struct MessageTally {
+    messages: u64,
+    packets: u64,
+    route_hops: LocalHistogram,
+}
+
 /// A live machine instance: topology, allocator, and per-node clocks.
-#[derive(Clone, Debug)]
+///
+/// Not `Clone`: a copy would carry the unpublished message tally with
+/// it, and both copies would publish it.
+#[derive(Debug)]
 pub struct Machine {
     config: MachineConfig,
     cube: Hypercube,
@@ -122,6 +137,8 @@ pub struct Machine {
     /// Clock of the service node (the trace collector's reference clock).
     service_clock: DriftClock,
     metrics: Option<MachineMetrics>,
+    /// Interior-mutable because the latency queries take `&self`.
+    tally: RefCell<MessageTally>,
     faults: Option<NetFaultState>,
 }
 
@@ -147,6 +164,7 @@ impl Machine {
             service_clock: DriftClock::PERFECT,
             config,
             metrics: None,
+            tally: RefCell::default(),
             faults: None,
         }
     }
@@ -164,14 +182,16 @@ impl Machine {
             service_clock: DriftClock::PERFECT,
             config,
             metrics: None,
+            tally: RefCell::default(),
             faults: None,
         }
     }
 
     /// Report message routing and clock extremes through `metrics` from
     /// now on. Clock extremes are recorded immediately (clocks are fixed
-    /// at boot); message and packet counts accumulate as the latency model
-    /// is consulted.
+    /// at boot); message, packet and route-length counts are tallied as
+    /// the latency model is consulted and published only when
+    /// [`Machine::flush_metrics`] is called.
     pub fn attach_metrics(&mut self, metrics: MachineMetrics) {
         for clock in &self.clocks {
             metrics
@@ -182,6 +202,20 @@ impl Machine {
                 .record_max(clock.offset_us.abs().round() as u64);
         }
         self.metrics = Some(metrics);
+        self.tally = RefCell::default();
+    }
+
+    /// Publish the message counts tallied since the last flush to the
+    /// attached metrics, then reset the tally (a no-op when none are
+    /// attached).
+    pub fn flush_metrics(&mut self) {
+        let tally = self.tally.get_mut();
+        if let Some(m) = &self.metrics {
+            m.messages_routed.add(tally.messages);
+            m.packets_routed.add(tally.packets);
+            tally.route_hops.flush_into(&m.route_hops);
+        }
+        *tally = MessageTally::default();
     }
 
     /// Inject network faults (message delay/drop/duplication) into every
@@ -234,11 +268,10 @@ impl Machine {
     }
 
     fn note_message(&self, msg: &Message, hops: u32) {
-        if let Some(m) = &self.metrics {
-            m.messages_routed.inc();
-            m.packets_routed.add(msg.packets());
-            m.route_hops.record(u64::from(hops));
-        }
+        let mut tally = self.tally.borrow_mut();
+        tally.messages += 1;
+        tally.packets = tally.packets.saturating_add(msg.packets());
+        tally.route_hops.record(u64::from(hops));
     }
 
     /// The static configuration.
@@ -384,6 +417,7 @@ mod tests {
         m.attach_metrics(MachineMetrics::register(&registry));
         m.io_message_latency(5, 0, 10_000);
         m.service_message_latency(5, 4096);
+        m.flush_metrics();
         let snap = registry.snapshot();
         assert_eq!(snap.counters["machine.messages_routed"], 2);
         // 10 000 bytes is three 4 KB packets, the flush one more.

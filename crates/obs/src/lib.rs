@@ -23,7 +23,10 @@
 //!    [`MetricsSnapshot::to_core_json`] omits them entirely.
 //! 3. **Near-zero cost.** Metric handles are `Arc`-shared atomic cells:
 //!    registration takes a lock once, per-event updates are single relaxed
-//!    atomic operations on pre-looked-up handles. Profiling hooks go
+//!    atomic operations on pre-looked-up handles. A loop that owns its
+//!    metrics skips even those: it tallies into plain integers and a
+//!    [`LocalHistogram`] and publishes the batch at the end, as the
+//!    paper's tracer buffered records per node. Profiling hooks go
 //!    through the [`Probe`] trait, whose default [`NoopProbe`] inlines to
 //!    nothing.
 //!
@@ -53,7 +56,8 @@ pub mod snapshot;
 pub mod span;
 
 pub use metrics::{
-    bucket_floor, bucket_index, Counter, Gauge, Histogram, MetricsRegistry, HISTOGRAM_BUCKETS,
+    bucket_floor, bucket_index, Counter, Gauge, Histogram, LocalHistogram, MetricsRegistry,
+    HISTOGRAM_BUCKETS,
 };
 pub use probe::{NoopProbe, Probe};
 pub use snapshot::{HistogramSnapshot, MetricsSnapshot, TimingSnapshot};

@@ -6,6 +6,10 @@
 //! atomic op per update — no lock, no string lookup — while the registry
 //! can snapshot every metric at any time through its own clones.
 //!
+//! A single-owner hot loop can skip even those atomics: it tallies into
+//! plain integers and a [`LocalHistogram`], then publishes the batch
+//! into the shared handles at the end of its run.
+//!
 //! All updates use saturating arithmetic so a metric can never wrap: a
 //! counter stuck at `u64::MAX` is a visible anomaly, a counter that wrapped
 //! past zero is a silent lie.
@@ -194,6 +198,63 @@ impl std::fmt::Debug for Histogram {
             .field("count", &self.count())
             .field("sum", &self.sum())
             .finish()
+    }
+}
+
+/// A single-owner histogram tally: plain `u64` cells, no atomics and no
+/// `Arc`. A hot loop that owns its metrics (one shard's simulator)
+/// records here and publishes the batch into the shared [`Histogram`]
+/// with [`LocalHistogram::flush_into`], so the per-sample cost is a
+/// bucket index and three adds.
+#[derive(Clone, Debug)]
+pub struct LocalHistogram {
+    buckets: [u64; HISTOGRAM_BUCKETS],
+    count: u64,
+    sum: u64,
+}
+
+impl Default for LocalHistogram {
+    fn default() -> Self {
+        LocalHistogram {
+            buckets: [0; HISTOGRAM_BUCKETS],
+            count: 0,
+            sum: 0,
+        }
+    }
+}
+
+impl LocalHistogram {
+    /// An empty tally.
+    pub fn new() -> Self {
+        LocalHistogram::default()
+    }
+
+    /// Record one sample.
+    #[inline]
+    pub fn record(&mut self, v: u64) {
+        let bucket = &mut self.buckets[bucket_index(v)];
+        *bucket = bucket.saturating_add(1);
+        self.count = self.count.saturating_add(1);
+        self.sum = self.sum.saturating_add(v);
+    }
+
+    /// Add the tallied buckets, count and sum to `histogram`, then reset
+    /// the tally. Saturating addition is associative on non-negative
+    /// values, so the result equals recording every sample into
+    /// `histogram` directly.
+    pub fn flush_into(&mut self, histogram: &Histogram) {
+        if self.count == 0 {
+            return;
+        }
+        let core = &histogram.0;
+        for (cell, &n) in core.buckets.iter().zip(&self.buckets) {
+            if n > 0 {
+                saturating_add(cell, n);
+            }
+        }
+        saturating_add(&core.count, self.count);
+        saturating_add(&core.sum, self.sum);
+        *self = LocalHistogram::default();
     }
 }
 
@@ -420,6 +481,32 @@ mod tests {
         h.record_n(42, 0);
         assert_eq!(h.count(), 0);
         assert!(h.snapshot().buckets.is_empty());
+    }
+
+    #[test]
+    fn local_histogram_flush_equals_per_sample_records() {
+        let samples = [0, 1, 2, 3, 1000, 4096, u64::MAX, u64::MAX - 1, 7];
+        let direct = Histogram::new();
+        let flushed = Histogram::new();
+        // Both start from the same non-empty state, so the flush must
+        // saturate the sum exactly where per-sample records do.
+        direct.record(5);
+        flushed.record(5);
+        let mut local = LocalHistogram::new();
+        for &v in &samples {
+            direct.record(v);
+            local.record(v);
+        }
+        local.flush_into(&flushed);
+        assert_eq!(flushed.snapshot(), direct.snapshot());
+        assert_eq!(flushed.sum(), u64::MAX, "sum saturates");
+        assert_eq!(flushed.count(), 1 + samples.len() as u64);
+        local.flush_into(&flushed);
+        assert_eq!(flushed.snapshot(), direct.snapshot(), "a flush resets");
+        local.record(9);
+        direct.record(9);
+        local.flush_into(&flushed);
+        assert_eq!(flushed.snapshot(), direct.snapshot());
     }
 
     #[test]

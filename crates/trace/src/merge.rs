@@ -22,7 +22,8 @@ use crate::builder::Trace;
 use crate::postprocess::{rectify, OrderedEvent};
 
 /// Metric handles a [`MergedEvents`] reports through once attached with
-/// [`MergedEvents::attach_metrics`].
+/// [`MergedEvents::attach_metrics`]. The merge tallies its counts locally
+/// and publishes them when it is exhausted or dropped.
 #[derive(Clone, Debug, Default)]
 pub struct MergeMetrics {
     /// Events emitted by the merge.
@@ -90,6 +91,10 @@ pub struct MergedEvents {
     heap: BinaryHeap<Reverse<(MergeKey, usize)>>,
     remaining: usize,
     metrics: Option<MergeMetrics>,
+    /// Records emitted since the last publish to `metrics`.
+    unpublished_records: u64,
+    /// Heap operations since the last publish to `metrics`.
+    unpublished_heap_ops: u64,
     #[cfg(feature = "invariants")]
     last_key: Option<MergeKey>,
 }
@@ -116,15 +121,30 @@ impl MergedEvents {
             heap,
             remaining,
             metrics: None,
+            unpublished_records: 0,
+            unpublished_heap_ops: 0,
             #[cfg(feature = "invariants")]
             last_key: None,
         }
     }
 
     /// Report merge throughput and heap workload through `metrics` from
-    /// now on.
+    /// now on. Counts are tallied locally and published when the merge
+    /// is exhausted or dropped, whichever comes first; a merge dropped
+    /// half-consumed publishes what it emitted.
     pub fn attach_metrics(&mut self, metrics: MergeMetrics) {
         self.metrics = Some(metrics);
+        self.unpublished_records = 0;
+        self.unpublished_heap_ops = 0;
+    }
+
+    fn flush_metrics(&mut self) {
+        if let Some(m) = &self.metrics {
+            m.records_merged.add(self.unpublished_records);
+            m.heap_ops.add(self.unpublished_heap_ops);
+        }
+        self.unpublished_records = 0;
+        self.unpublished_heap_ops = 0;
     }
 
     /// Total events still to be yielded.
@@ -142,7 +162,10 @@ impl Iterator for MergedEvents {
     type Item = OrderedEvent;
 
     fn next(&mut self) -> Option<OrderedEvent> {
-        let Reverse((key, shard)) = self.heap.pop()?;
+        let Some(Reverse((key, shard))) = self.heap.pop() else {
+            self.flush_metrics();
+            return None;
+        };
         #[cfg(feature = "invariants")]
         {
             charisma_ipsc::invariant!(
@@ -157,15 +180,12 @@ impl Iterator for MergedEvents {
         let pos = self.cursor[shard];
         let event = self.shards[shard][pos];
         self.cursor[shard] = pos + 1;
-        let mut heap_ops = 1u64;
+        self.unpublished_records += 1;
+        self.unpublished_heap_ops += 1;
         if let Some(next) = self.shards[shard].get(pos + 1) {
             self.heap
                 .push(Reverse((merge_key(next, shard, pos + 1), shard)));
-            heap_ops += 1;
-        }
-        if let Some(m) = &self.metrics {
-            m.records_merged.inc();
-            m.heap_ops.add(heap_ops);
+            self.unpublished_heap_ops += 1;
         }
         self.remaining -= 1;
         Some(event)
@@ -177,6 +197,12 @@ impl Iterator for MergedEvents {
 }
 
 impl ExactSizeIterator for MergedEvents {}
+
+impl Drop for MergedEvents {
+    fn drop(&mut self) {
+        self.flush_metrics();
+    }
+}
 
 /// Merge per-shard rectified streams into one materialized ordered stream.
 ///
@@ -273,6 +299,21 @@ mod tests {
         assert_eq!(snap.counters["merge.records_merged"], 3);
         // 3 pops + 1 refill push (shard 0 has a successor after its head).
         assert_eq!(snap.counters["merge.heap_ops"], 4);
+    }
+
+    #[test]
+    fn merge_dropped_half_consumed_publishes_what_it_emitted() {
+        let registry = MetricsRegistry::new();
+        let mut m = MergedEvents::new(vec![vec![ev(1, 0, 0), ev(4, 0, 1)], vec![ev(2, 0, 2)]]);
+        m.attach_metrics(MergeMetrics::register(&registry));
+        assert_eq!(m.next().map(|e| session(&e)), Some(0));
+        assert_eq!(m.next().map(|e| session(&e)), Some(2));
+        assert_eq!(registry.snapshot().counters["merge.records_merged"], 0);
+        drop(m);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counters["merge.records_merged"], 2);
+        // 2 pops + 1 refill push after the first pop.
+        assert_eq!(snap.counters["merge.heap_ops"], 3);
     }
 
     #[test]

@@ -295,6 +295,11 @@ impl Generator {
         self.metrics
             .counter("workload.requests")
             .add(self.stats.requests);
+        // The simulators tally in plain integers; publish before the
+        // snapshot freezes the registry.
+        self.queue.flush_metrics();
+        self.machine.flush_metrics();
+        self.cfs.flush_metrics();
         GeneratedWorkload {
             trace: trace.finish(end),
             stats: self.stats,
